@@ -15,8 +15,10 @@ unaffected.
 normalize implements the proof strategy: expand away static operators,
 then per sum flatten with A1-A3 under a fixed total order and merge with
 A4 wherever the cumulative-rate side condition holds, to a fixpoint.
-normalize_with_trace performs the same computation as an explicit,
-replayable sequence of single law applications.
+expand_static, normalize and normalize_with_trace run one recursive
+engine.  For normalize_with_trace it also records, where the strategy
+rewrites, the single law application each change amounts to, so the
+trace replays through apply_law to the normal form.
 """
 
 from __future__ import annotations
@@ -299,66 +301,90 @@ def _require_nonrecursive(term: t.ProcessTerm) -> None:
             raise NotWellFormed("tests cannot be expanded")
 
 
+# The engine rewrites the subterm at position pos of the whole term and
+# appends each step to steps.  Without a step list pos is None, and no
+# positions are built.
+
+
+def _at(pos: Path | None, *path: int) -> Path | None:
+    return None if pos is None else pos + path
+
+
+def _summand_at(pos: Path | None, i: int, n: int) -> Path | None:
+    """Position of summand i of the right-nested sum of n summands at pos."""
+    if pos is None:
+        return None
+    return pos + (1,) * i + ((0,) if i < n - 1 else ())
+
+
+def _record(steps, law: str, pos: Path | None, direction: str = "lr", binding=()) -> None:
+    if steps is not None:
+        steps.append(RewriteStep(law, pos, direction, binding))
+
+
+def _expand(x: t.ProcessTerm, pos: Path | None, steps) -> t.ProcessTerm:
+    """Innermost elimination of every static operator in x."""
+    if isinstance(x, t.Prefix):
+        return t.Prefix(x.name, x.rate, _expand(x.body, _at(pos, 0), steps))
+    if isinstance(x, t.Choice):
+        # nil summands are dropped on the way (A1, A3), keeping operand
+        # sums in the prefix-sum shape the laws expect
+        left = _expand(x.left, _at(pos, 0), steps)
+        right = _expand(x.right, _at(pos, 1), steps)
+        if right == t.NIL:
+            _record(steps, "A3", pos)
+            return left
+        if left == t.NIL:
+            _record(steps, "A1", pos)
+            _record(steps, "A3", pos)
+            return right
+        return t.Choice(left, right)
+    if isinstance(x, t.Parallel):
+        left = _expand(x.left, _at(pos, 0), steps)
+        right = _expand(x.right, _at(pos, 1), steps)
+        return _eliminate(t.Parallel(x.sync, left, right), pos, steps)
+    if isinstance(x, (t.Hide, t.Relabel)):
+        return _eliminate(_with_child(x, 0, _expand(x.body, _at(pos, 0), steps)), pos, steps)
+    return x
+
+
+def _eliminate(x: t.ProcessTerm, pos: Path | None, steps) -> t.ProcessTerm:
+    """Eliminate the static operator at the root of x, whose operands are
+    already expanded, one A5-A15 application at a time."""
+    binding: tuple[tuple[str, str], ...] = ()
+    if isinstance(x, t.Parallel):
+        left_nil, right_nil = x.left == t.NIL, x.right == t.NIL
+        law = "A8" if left_nil and right_nil else "A6" if right_nil else "A7" if left_nil else "A5"
+    elif x.body == t.NIL:
+        law = "A9" if isinstance(x, t.Hide) else "A13"
+    elif isinstance(x.body, t.Choice):
+        law = "A12" if isinstance(x, t.Hide) else "A15"
+    else:
+        law = "A14" if isinstance(x, t.Relabel) else "A10" if x.body.name in x.hidden else "A11"
+        if steps is not None:
+            binding = (("name", x.body.name),)
+    result = _rewrite(law, "lr", x)
+    _record(steps, law, pos, binding=binding)
+    if law in ("A12", "A15"):
+        return t.Choice(_eliminate(result.left, _at(pos, 0), steps),
+                        _eliminate(result.right, _at(pos, 1), steps))
+    if result == t.NIL:
+        return result
+    # A5-A7, A10, A11 and A14 give a sum of prefixes whose continuations
+    # are static operators over expanded operands; they are eliminated
+    # directly, without walking the operands again
+    parts = summand_list(result)
+    n = len(parts)
+    return nest_right([
+        t.Prefix(p.name, p.rate, _eliminate(p.body, _at(_summand_at(pos, i, n), 0), steps))
+        for i, p in enumerate(parts)
+    ])
+
+
 def expand_static(term: t.ProcessTerm) -> t.ProcessTerm:
     """Remove Parallel/Hide/Relabel by innermost application of A5-A15."""
     _require_nonrecursive(term)
-
-    def parallel(sync, left, right) -> t.ProcessTerm:
-        if left == t.NIL and right == t.NIL:
-            return t.NIL
-        x = t.Parallel(sync, left, right)
-        if right == t.NIL:
-            expanded = _a6(x)
-        elif left == t.NIL:
-            expanded = _a7(x)
-        else:
-            expanded = _a5(x)
-        return nest_right([
-            t.Prefix(p.name, p.rate, ex(p.body)) for p in summand_list(expanded)
-            if isinstance(p, t.Prefix)
-        ]) if expanded != t.NIL else t.NIL
-
-    def hide(hidden, body) -> t.ProcessTerm:
-        if body == t.NIL:
-            return t.NIL
-        out = []
-        for p in _prefix_sum(body, "A10"):
-            name = t.TAU if p.name in hidden else p.name
-            out.append(t.Prefix(name, p.rate, hide(hidden, p.body)))
-        return nest_right(out)
-
-    def relabel(mapping, body) -> t.ProcessTerm:
-        if body == t.NIL:
-            return t.NIL
-        rename = dict(mapping)
-        out = []
-        for p in _prefix_sum(body, "A14"):
-            out.append(
-                t.Prefix(rename.get(p.name, p.name), p.rate, relabel(mapping, p.body))
-            )
-        return nest_right(out)
-
-    def ex(x: t.ProcessTerm) -> t.ProcessTerm:
-        if isinstance(x, t.Prefix):
-            return t.Prefix(x.name, x.rate, ex(x.body))
-        if isinstance(x, t.Choice):
-            # nil summands are dropped on the way (A3), keeping operand
-            # sums in the prefix-sum shape the laws expect
-            left, right = ex(x.left), ex(x.right)
-            if left == t.NIL:
-                return right
-            if right == t.NIL:
-                return left
-            return t.Choice(left, right)
-        if isinstance(x, t.Parallel):
-            return parallel(x.sync, ex(x.left), ex(x.right))
-        if isinstance(x, t.Hide):
-            return hide(x.hidden, ex(x.body))
-        if isinstance(x, t.Relabel):
-            return relabel(x.mapping, ex(x.body))
-        return x
-
-    return ex(term)
+    return _expand(term, None, None)
 
 
 def _sort_key(term: t.ProcessTerm):
@@ -406,24 +432,75 @@ def _has_passive_top(body: t.ProcessTerm) -> bool:
     return any(not isinstance(p, t.Prefix) or p.rate.passive for p in parts)
 
 
-def _canon(term: t.ProcessTerm) -> t.ProcessTerm:
+def _flatten(term: t.ProcessTerm, pos: Path | None, steps) -> list[t.ProcessTerm]:
+    """Summands of the sum at pos, which A2 rotations nest to the right."""
+    if steps is None:
+        return summand_list(term)
+    parts = []
+    while isinstance(term, t.Choice):
+        if isinstance(term.left, t.Choice):
+            steps.append(RewriteStep("A2", pos))
+            term = t.Choice(term.left.left, t.Choice(term.left.right, term.right))
+        else:
+            parts.append(term.left)
+            term, pos = term.right, pos + (1,)
+    parts.append(term)
+    return parts
+
+
+def _sort_summands(parts: list[t.ProcessTerm], keys: list, pos: Path | None,
+                   steps) -> list[t.ProcessTerm]:
+    """Stable sort of the summands of the right-nested sum at pos, as
+    swaps of adjacent summands (A1, with A2 around it inside the spine)."""
+    if steps is None:
+        return [parts[i] for i in sorted(range(len(parts)), key=keys.__getitem__)]
+    parts, keys, n = list(parts), list(keys), len(parts)
+    for i in range(1, n):
+        for j in range(i, 0, -1):
+            if not keys[j - 1] > keys[j]:
+                break
+            at = pos + (1,) * (j - 1)
+            if j == n - 1:
+                steps.append(RewriteStep("A1", at))
+            else:
+                steps += [RewriteStep("A2", at, "rl"), RewriteStep("A1", at + (0,)),
+                          RewriteStep("A2", at)]
+            parts[j - 1], parts[j] = parts[j], parts[j - 1]
+            keys[j - 1], keys[j] = keys[j], keys[j - 1]
+    return parts
+
+
+def _canon(term: t.ProcessTerm, pos: Path | None, steps) -> t.ProcessTerm:
+    """Flatten, merge with A4 to a fixpoint and sort every sum of an
+    expanded term, which holds no nil summands."""
     if isinstance(term, t.Prefix):
-        return t.Prefix(term.name, term.rate, _canon(term.body))
+        return t.Prefix(term.name, term.rate, _canon(term.body, _at(pos, 0), steps))
     if not isinstance(term, t.Choice):
         return term
-    parts = [_canon(p) for p in summand_list(term) if p != t.NIL]
-    while True:
-        groups = _mergeable(parts)
-        if not groups:
-            break
+    parts = _flatten(term, pos, steps)
+    n = len(parts)
+    parts = [_canon(p, _summand_at(pos, i, n), steps) for i, p in enumerate(parts)]
+    while groups := _mergeable(parts):
         key = min(groups, key=lambda k: min(groups[k]))
-        indices = set(groups[key])
-        members = [parts[i] for i in sorted(indices)]
-        merged = _a4(nest_right(members))
-        merged = t.Prefix(merged.name, merged.rate, _canon(merged.body))
-        parts = [p for i, p in enumerate(parts) if i not in indices] + [merged]
-    parts.sort(key=_sort_key)
-    return nest_right(parts)
+        members = set(groups[key])
+        # a stable partition floats the group to the tail of the spine,
+        # where a contiguous sum is an addressable subterm
+        parts = _sort_summands(parts, [i in members for i in range(len(parts))], pos, steps)
+        start = len(parts) - len(members)
+        merge_at = _at(pos, *(1,) * start)
+        merged = _a4(nest_right(parts[start:]))
+        _record(steps, "A4", merge_at, binding=(("width", str(len(members))),))
+        merged = t.Prefix(merged.name, merged.rate, _canon(merged.body, _at(merge_at, 0), steps))
+        parts = parts[:start] + [merged]
+    return nest_right(_sort_summands(parts, [_sort_key(p) for p in parts], pos, steps))
+
+
+def _normalize(term: t.ProcessTerm, state_bound: int, steps) -> t.ProcessTerm:
+    if not build_lts(term, state_bound).performance_closed:
+        raise NotPerformanceClosed("normalization is defined for performance-closed terms")
+    _require_nonrecursive(term)
+    pos = None if steps is None else ()
+    return _canon(_expand(term, pos, steps), pos, steps)
 
 
 def normalize(term: t.ProcessTerm, state_bound: int = 10000) -> t.ProcessTerm:
@@ -433,9 +510,15 @@ def normalize(term: t.ProcessTerm, state_bound: int = 10000) -> t.ProcessTerm:
     to exponentially timed prefix trees, which A4 can always merge when
     its cumulative-rate condition holds.
     """
-    if not build_lts(term, state_bound).performance_closed:
-        raise NotPerformanceClosed("normalization is defined for performance-closed terms")
-    return _canon(expand_static(term))
+    return _normalize(term, state_bound, None)
+
+
+def normalize_with_trace(
+    term: t.ProcessTerm, state_bound: int = 10000
+) -> tuple[t.ProcessTerm, list[RewriteStep]]:
+    """normalize, with the replayable rewrite sequence it took."""
+    steps: list[RewriteStep] = []
+    return _normalize(term, state_bound, steps), steps
 
 
 @d.dataclass(frozen=True)
@@ -470,195 +553,3 @@ def axiom_prove(
 
         decided = decide_equiv(p1, p2, state_bound, with_test_witness=False).equivalent
     return ProveReport(proved, n1, n2, tuple(trace1), tuple(trace2), decided)
-
-
-class _TraceEngine:
-    """Replays the normalize strategy as single Table 2 steps on the whole
-    term, so the trace can be checked by literal re-application."""
-
-    def __init__(self, term: t.ProcessTerm):
-        self.term = term
-        self.steps: list[RewriteStep] = []
-
-    def apply(self, law: str, position: Path, direction: str = "lr", binding=()) -> None:
-        step = RewriteStep(law, tuple(position), direction, tuple(binding))
-        self.term = apply_law(self.term, step)
-        self.steps.append(step)
-
-    # --- static elimination ---------------------------------------------
-
-    def _innermost_static(self) -> Path | None:
-        found: Path | None = None
-
-        def visit(x: t.ProcessTerm, path: Path) -> bool:
-            deeper = False
-            for i, child in enumerate(t.children(x)):
-                deeper |= visit(child, path + (i,))
-            if deeper:
-                return True
-            nonlocal found
-            if isinstance(x, (t.Parallel, t.Hide, t.Relabel)) and found is None:
-                found = path
-                return True
-            return False
-
-        visit(self.term, ())
-        return found
-
-    def expand(self) -> None:
-        while (pos := self._innermost_static()) is not None:
-            node = subterm_at(self.term, pos)
-            if isinstance(node, t.Parallel):
-                # collapsed inner terms may have left nil summands behind;
-                # A5-A7 need clean prefix-sum operands
-                self._clean_spine(pos + (0,))
-                self._clean_spine(pos + (1,))
-                node = subterm_at(self.term, pos)
-                left_nil, right_nil = node.left == t.NIL, node.right == t.NIL
-                if left_nil and right_nil:
-                    self.apply("A8", pos)
-                elif right_nil:
-                    self.apply("A6", pos)
-                elif left_nil:
-                    self.apply("A7", pos)
-                else:
-                    self.apply("A5", pos)
-            elif isinstance(node, t.Hide):
-                if node.body == t.NIL:
-                    self.apply("A9", pos)
-                elif isinstance(node.body, t.Choice):
-                    self.apply("A12", pos)
-                elif isinstance(node.body, t.Prefix):
-                    law = "A10" if node.body.name in node.hidden else "A11"
-                    self.apply(law, pos, binding=(("name", node.body.name),))
-                else:
-                    raise LawError(f"cannot expand hiding of {node.body}")
-            else:
-                assert isinstance(node, t.Relabel)
-                if node.body == t.NIL:
-                    self.apply("A13", pos)
-                elif isinstance(node.body, t.Choice):
-                    self.apply("A15", pos)
-                elif isinstance(node.body, t.Prefix):
-                    self.apply("A14", pos, binding=(("name", node.body.name),))
-                else:
-                    raise LawError(f"cannot expand relabeling of {node.body}")
-
-    # --- spine surgery ----------------------------------------------------
-
-    def _spine(self, pos: Path) -> list[Path]:
-        paths: list[Path] = []
-        path = pos
-        while isinstance(subterm_at(self.term, path), t.Choice):
-            paths.append(path + (0,))
-            path = path + (1,)
-        paths.append(path)
-        return paths
-
-    def _flatten(self, pos: Path) -> None:
-        while True:
-            path = pos
-            rotated = False
-            while isinstance(node := subterm_at(self.term, path), t.Choice):
-                if isinstance(node.left, t.Choice):
-                    self.apply("A2", path)
-                    rotated = True
-                    break
-                path = path + (1,)
-            if not rotated:
-                return
-
-    def _drop_nils(self, pos: Path) -> None:
-        while isinstance(subterm_at(self.term, pos), t.Choice):
-            elements = self._spine(pos)
-            for i, epath in enumerate(elements):
-                if subterm_at(self.term, epath) == t.NIL:
-                    parent = epath[:-1] if i < len(elements) - 1 else elements[i - 1][:-1]
-                    if i < len(elements) - 1:
-                        self.apply("A1", parent)
-                    self.apply("A3", parent)
-                    break
-            else:
-                return
-
-    def _clean_spine(self, pos: Path) -> None:
-        self._flatten(pos)
-        self._drop_nils(pos)
-
-    def _swap(self, pos: Path, i: int, n: int) -> None:
-        node_path = pos + (1,) * i
-        if i + 1 == n - 1:
-            self.apply("A1", node_path)
-        else:
-            self.apply("A2", node_path, "rl")
-            self.apply("A1", node_path + (0,))
-            self.apply("A2", node_path)
-
-    def _sort_spine(self, pos: Path, key) -> None:
-        while True:
-            elements = self._spine(pos)
-            n = len(elements)
-            keys = [key(subterm_at(self.term, e)) for e in elements]
-            for i in range(n - 1):
-                if keys[i] > keys[i + 1]:
-                    self._swap(pos, i, n)
-                    break
-            else:
-                return
-
-    def canonize(self, pos: Path = ()) -> None:
-        node = subterm_at(self.term, pos)
-        if isinstance(node, t.Prefix):
-            self.canonize(pos + (0,))
-            return
-        if not isinstance(node, t.Choice):
-            return
-        self._flatten(pos)
-        self._drop_nils(pos)
-        node = subterm_at(self.term, pos)
-        if not isinstance(node, t.Choice):
-            self.canonize(pos)
-            return
-        for epath in self._spine(pos):
-            element = subterm_at(self.term, epath)
-            if isinstance(element, t.Prefix):
-                self.canonize(epath + (0,))
-        while True:
-            elements = self._spine(pos)
-            parts = [subterm_at(self.term, e) for e in elements]
-            groups = _mergeable(parts)
-            if not groups:
-                break
-            key = min(groups, key=lambda k: min(groups[k]))
-
-            def member(part: t.ProcessTerm) -> bool:
-                return (
-                    isinstance(part, t.Prefix)
-                    and not part.rate.passive
-                    and not _has_passive_top(part.body)
-                    and _group_key(part) == key
-                )
-
-            # stable partition floating the group to the spine tail, where
-            # a contiguous sum is an addressable subterm
-            self._sort_spine(pos, key=lambda p: 1 if member(p) else 0)
-            parts = [subterm_at(self.term, e) for e in self._spine(pos)]
-            start = next(i for i, p in enumerate(parts) if member(p))
-            width = len(parts) - start
-            merge_at = pos + (1,) * start
-            self.apply("A4", merge_at, binding=(("width", str(width)),))
-            self.canonize(merge_at + (0,))
-        self._sort_spine(pos, key=_sort_key)
-
-
-def normalize_with_trace(
-    term: t.ProcessTerm, state_bound: int = 10000
-) -> tuple[t.ProcessTerm, list[RewriteStep]]:
-    """normalize, as an explicit replayable rewrite sequence."""
-    if not build_lts(term, state_bound).performance_closed:
-        raise NotPerformanceClosed("normalization is defined for performance-closed terms")
-    _require_nonrecursive(term)
-    engine = _TraceEngine(term)
-    engine.expand()
-    engine.canonize()
-    return engine.term, engine.steps

@@ -10,7 +10,6 @@ values always carry numerator and denominator, never floats alone.
 from __future__ import annotations
 
 import argparse
-import dataclasses as d
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -19,7 +18,7 @@ from fractions import Fraction
 from random import Random
 
 from . import mlogic, terms as t
-from .axioms import axiom_prove, normalize, normalize_with_trace
+from .axioms import axiom_prove, normalize
 from .computations import make_theta
 from .corpus import random_pairs, random_term
 from .decider import decide_equiv
@@ -28,21 +27,6 @@ from .parser import parse_formula, parse_term
 from .rates import avg_sojourn, rate_t
 from .semantics import build_lts, export_dot, export_json
 from .testing import canonical_tests, parse_test, prob_pass
-
-
-@d.dataclass(frozen=True)
-class RunConfig:
-    state_bound: int = 10000
-    test_depth: int = 4
-    formula_depth: int = 3
-    seed: int = 0
-    output_format: str = "text"
-
-    def __post_init__(self) -> None:
-        if self.state_bound <= 0 or self.test_depth < 0 or self.formula_depth < 0:
-            raise CalcError("bounds must be positive")
-        if self.output_format not in ("text", "json"):
-            raise CalcError(f"unknown format {self.output_format!r}")
 
 
 def _decimal(value: Fraction) -> str:
@@ -359,6 +343,11 @@ def main(argv=None) -> int:
         code = _COMMANDS[args.command](args, out)
     except CalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the recursive term traversals give out on deeply nested terms;
+        # exit code 1 would read as a negative verdict
+        print("error: term nested too deeply (recursion limit exceeded)", file=sys.stderr)
         return 2
     out.emit()
     return code

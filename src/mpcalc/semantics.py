@@ -201,11 +201,6 @@ def build_lts(
     return LMTS(root=root, states=states, index=index, outgoing=outgoing)
 
 
-def is_performance_closed(lts: LMTS) -> bool:
-    """No reachable passive transition: every delay is exponentially timed."""
-    return lts.performance_closed
-
-
 def _rate_json(rate: t.Rate) -> dict:
     return {
         "kind": "passive" if rate.passive else "exp",

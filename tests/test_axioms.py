@@ -5,7 +5,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mpcalc.axioms import (RewriteStep, apply_law, axiom_prove, expand_static,
                            normalize, normalize_with_trace)
@@ -93,14 +93,26 @@ def test_prove_spec_pairs():
     assert not timed.completeness_gap
 
 
-def test_trace_replays_to_the_normal_form():
-    source = parse_term("((<a,2>.0) |[a]| (<a,*3>.0 + <a,*1>.0)) + 0")
-    normal, steps = normalize_with_trace(source)
-    current = source
+def _replay(term, steps):
     for step in steps:
-        current = apply_law(current, step)
-    assert current == normal == normalize(source)
-    assert str(steps[0]).split()[0] in LAW_IDS
+        term = apply_law(term, step)
+    return term
+
+
+_static_terms = st.integers(0, 10**9).map(
+    lambda seed: random_term(Random(seed), depth=3, max_states=12, static_ops=True))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_static_terms)
+@example(parse_term("((<a,2>.0) |[a]| (<a,*3>.0 + <a,*1>.0)) + 0"))
+@example(parse_term("((<a,1>.0 + <b,2>.0) + <a,3>.0) / {a}"))  # A12 twice
+@example(parse_term("((<a,1>.0 + <b,2>.0) + <a,3>.0)[a->c]"))  # A15 twice
+@example(parse_term("<b,1>.(0 + <a,1>.0)"))  # A1, then A3
+def test_trace_replays_to_the_normal_form(source):
+    normal, steps = normalize_with_trace(source)
+    assert _replay(source, steps) == normal == normalize(source)
+    assert all(str(step).split()[0] in LAW_IDS for step in steps)
 
 
 @settings(max_examples=50, deadline=None)
@@ -118,6 +130,8 @@ def test_proved_pairs_are_equivalent(seed):
     left = random_term(rng, depth=3, max_states=10)
     right = random_term(rng, depth=3, max_states=10)
     report = axiom_prove(left, right, consult_decider=False)
+    assert _replay(left, report.trace_left) == report.normal_left
+    assert _replay(right, report.trace_right) == report.normal_right
     if report.proved:
         assert decide_equiv(left, right).equivalent
 

@@ -123,3 +123,12 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["unknown-command"])
     assert info.value.code == 2
+
+
+def test_deep_terms_exit_two_without_traceback(capsys):
+    chain = "<a,1>." * 1000 + "0"
+    for argv in (("parse", chain),
+                 ("check-equiv", "-p1", chain, "-p2", chain, "--no-witness-test")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
