@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal, localcontext
@@ -218,8 +219,9 @@ def _cmd_corpus(args, out: _Output) -> int:
         if args.check:
             payloads = [(str(s.left), str(s.right), args.state_bound)
                         for s in samples]
-            if args.jobs > 1:
-                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            jobs = min(args.jobs, os.cpu_count() or 1)
+            if jobs > 1:
+                with ProcessPoolExecutor(max_workers=jobs) as pool:
                     verdicts = list(pool.map(_check_pair, payloads))
             else:
                 verdicts = [_check_pair(p) for p in payloads]
@@ -261,7 +263,9 @@ _COMMANDS = {
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--state-bound", type=int, default=10000,
-                        help="largest explorable state space (default 10000)")
+                        help="largest explorable state space; for eval-test, "
+                        "of the process alone, not of its interaction with "
+                        "the test (default 10000)")
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default text)")
 
@@ -329,7 +333,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="decide every emitted pair")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel worker processes for --check")
+                   help="parallel worker processes for --check, at most "
+                   "the number of CPUs")
     return parser
 
 

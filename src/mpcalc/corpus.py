@@ -42,10 +42,12 @@ def _passive(rng: Random) -> t.Rate:
     return t.Rate(rng.choice(WEIGHT_POOL), passive=True)
 
 
-def _analyzable(term: t.ProcessTerm, max_states: int) -> bool:
+def _analyzable(term: t.ProcessTerm, max_states: int, tau: bool = True) -> bool:
     try:
         lts = build_lts(term, state_bound=max(max_states, 2))
     except CalcError:
+        return False
+    if not tau and any(tr.name == t.TAU for tr in lts.transitions()):
         return False
     return lts.performance_closed and len(lts.states) <= max_states
 
@@ -82,13 +84,15 @@ def random_term(rng: Random, names: Sequence[str] = ("a", "b"), depth: int = 3,
     """A random closed guarded performance-closed term.
 
     Exponential rates only, so performance closure holds by construction
-    and the retry loop mostly enforces the state budget.
+    and the retry loop mostly enforces the state budget.  With tau=False
+    the term has no internal move at all: tau is left out of the prefixes,
+    and candidates whose hiding turns visible moves into tau are redrawn.
     """
     for _ in range(attempts):
         candidate = _grow(rng, names, depth, tau, static_ops)
         if candidate == t.NIL:
             continue
-        if _analyzable(candidate, max_states):
+        if _analyzable(candidate, max_states, tau):
             return candidate
     raise GenerationError("no term within the state budget")
 

@@ -9,10 +9,9 @@ computations, so equality for all theta holds iff the signed probability
 mass agrees vector by vector; a strict inequality at any minimal
 differing vector yields a concrete witness theta.
 
-Successful computations are enumerated over the product of the process
-LMTS with the test's syntax tree instead of composing interaction terms;
-tests only synchronize passively on visible names and move alone on timed
-tau, so the product is the reachable part of the interaction system.  The
+Successful computations are grouped over testing.InteractionProduct,
+the product of the process LMTS with the test's syntax tree that
+prob_pass also runs on, instead of composing interaction terms.  The
 slower term-level route in the testing module is kept as the reference
 and the two are cross-checked in the test suite.
 """
@@ -25,75 +24,18 @@ from itertools import product as cartesian
 
 from . import terms as t
 from .semantics import LMTS, build_lts
-from .errors import NotPerformanceClosed
-from .testing import Test, canonical_tests, make_test, top_summands
+from .testing import InteractionProduct, Test, canonical_tests, make_test, top_summands
 
 Vector = tuple[Fraction, ...]
 Measure = dict[Vector, Fraction]
 
 
-@d.dataclass(frozen=True)
-class _NodeInfo:
-    summands: tuple[tuple[str, t.Rate, t.ProcessTerm], ...]
-    successful: bool
-    live: bool  # success still reachable, given that z never synchronizes
-
-
-def _test_info(test_term: t.ProcessTerm) -> dict[t.ProcessTerm, _NodeInfo]:
-    info: dict[t.ProcessTerm, _NodeInfo] = {}
-
-    def visit(node: t.ProcessTerm) -> _NodeInfo:
-        if node in info:
-            return info[node]
-        parts = top_summands(node)
-        successful = any(isinstance(p, t.Success) for p in parts)
-        summands = []
-        live = successful
-        for part in parts:
-            if isinstance(part, t.Success):
-                continue
-            assert isinstance(part, t.Prefix)
-            summands.append((part.name, part.rate, part.body))
-            if part.name != t.FAILURE_NAME and visit(part.body).live:
-                live = True
-        entry = _NodeInfo(tuple(summands), successful, live)
-        info[node] = entry
-        return entry
-
-    visit(test_term)
-    return info
-
-
 def successful_measures(lts: LMTS, test: Test, max_len: int) -> list[Measure]:
     """Probability mass of successful computations of each exact length,
     grouped by their stepwise sojourn-time vectors."""
-    if not lts.performance_closed:
-        raise NotPerformanceClosed("oracle requires a performance-closed process")
-    info = _test_info(test.term)
-    aggregated = [
-        [(tr.name, tr.aggregate, lts.index[tr.target]) for tr in group]
-        for group in lts.outgoing
-    ]
+    product = InteractionProduct(lts, test)
+    info = product.info
     cache: dict[tuple[int, t.ProcessTerm, bool, int], Measure] = {}
-
-    def moves(state: int, node: t.ProcessTerm):
-        node_info = info[node]
-        weights: dict[str, Fraction] = {}
-        for name, rate, _ in node_info.summands:
-            if rate.passive:
-                weights[name] = weights.get(name, Fraction(0)) + rate.value
-        out: list[tuple[Fraction, int, t.ProcessTerm]] = []
-        for name, value, target in aggregated[state]:
-            if name == t.TAU:
-                out.append((value, target, node))
-                continue
-            for sname, srate, sbody in node_info.summands:
-                if sname == name and srate.passive:
-                    out.append((value * srate.value / weights[name], target, sbody))
-        for sname, srate, sbody in node_info.summands:
-            if sname == t.TAU and not srate.passive:
-                out.append((srate.value, state, sbody))
-        return out
 
     def measure(state: int, node: t.ProcessTerm, seen: bool, budget: int) -> Measure:
         seen = seen or info[node].successful
@@ -105,15 +47,11 @@ def successful_measures(lts: LMTS, test: Test, max_len: int) -> list[Measure]:
         if key in cache:
             return cache[key]
         out: Measure = {}
-        branches = moves(state, node)
-        total = sum((value for value, _, _ in branches), Fraction(0))
-        if total > 0:
-            sojourn = 1 / total
-            for value, state2, node2 in branches:
-                share = value / total
-                for vector, mass in measure(state2, node2, seen, budget - 1).items():
-                    key2 = (sojourn,) + vector
-                    out[key2] = out.get(key2, Fraction(0)) + share * mass
+        sojourn, branches = product.step(state, node)
+        for share, state2, node2 in branches:
+            for vector, mass in measure(state2, node2, seen, budget - 1).items():
+                key2 = (sojourn,) + vector
+                out[key2] = out.get(key2, Fraction(0)) + share * mass
         cache[key] = out
         return out
 

@@ -14,6 +14,16 @@ includes s as a top-level summand (for reactive tests this means the
 projection is exactly s).  A computation is successful when it traverses
 a successful configuration anywhere, origin included; computations may
 extend past success, which matters for timed silent moves.
+
+This module owns the interaction product: InteractionProduct steps a
+process LMTS and a test's syntax tree together, and both prob_pass (one
+forward pass, pruned by theta) and the oracle's successful_measures run
+on it.
+The term-level route (interaction, interaction_lts,
+successful_computations, then computations.prob_set) composes the
+interaction term and enumerates its computations one by one; it follows
+the definitions literally and is kept as the reference the test suite
+compares against.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import terms as t
-from .computations import Computation, Theta, filter_le_theta, filter_len, prob_set
+from .computations import Computation, Theta
 from .errors import NotPerformanceClosed, NotWellFormed
 from .parser import parse_test_body
 from .semantics import LMTS, build_lts
@@ -140,18 +150,131 @@ def successful_computations(
     return out
 
 
+@d.dataclass(frozen=True)
+class _NodeInfo:
+    summands: tuple[tuple[str, t.Rate, t.ProcessTerm], ...]
+    successful: bool
+    live: bool  # success still reachable, given that z never synchronizes
+
+
+def _test_info(test_term: t.ProcessTerm) -> dict[t.ProcessTerm, _NodeInfo]:
+    info: dict[t.ProcessTerm, _NodeInfo] = {}
+
+    def visit(node: t.ProcessTerm) -> _NodeInfo:
+        if node in info:
+            return info[node]
+        parts = top_summands(node)
+        successful = any(isinstance(p, t.Success) for p in parts)
+        summands = []
+        live = successful
+        for part in parts:
+            if isinstance(part, t.Success):
+                continue
+            assert isinstance(part, t.Prefix)
+            summands.append((part.name, part.rate, part.body))
+            if part.name != t.FAILURE_NAME and visit(part.body).live:
+                live = True
+        entry = _NodeInfo(tuple(summands), successful, live)
+        info[node] = entry
+        return entry
+
+    visit(test_term)
+    return info
+
+
+# (mean sojourn time or None, ((probability, process state, test node), ...))
+Step = tuple[Fraction | None, tuple[tuple[Fraction, int, t.ProcessTerm], ...]]
+
+
+class InteractionProduct:
+    """The interaction of a performance-closed LMTS with a test, stepped on
+    (process state index, test node) pairs instead of composed terms.
+
+    Tests only synchronize passively on visible names and move alone on
+    timed tau, so this product is the reachable part of the interaction
+    system: the process moves alone on tau; a visible process action
+    synchronizes with the test summands of the same name, its rate split
+    by their passive weights; a timed tau summand of the test moves the
+    test alone.  Every other visible action of either side is blocked.
+    """
+
+    def __init__(self, lts: LMTS, test: Test):
+        if not lts.performance_closed:
+            raise NotPerformanceClosed("the process under test is not performance-closed")
+        self.info = _test_info(test.term)
+        self._aggregated = [
+            [(tr.name, tr.aggregate, lts.index[tr.target]) for tr in group]
+            for group in lts.outgoing
+        ]
+        self._steps: dict[tuple[int, t.ProcessTerm], Step] = {}
+
+    def step(self, state: int, node: t.ProcessTerm) -> Step:
+        """Mean sojourn time of the product state, None when it has no
+        move, and its branches (probability, process state, test node)."""
+        key = (state, node)
+        if key not in self._steps:
+            self._steps[key] = self._step(state, node)
+        return self._steps[key]
+
+    def _step(self, state: int, node: t.ProcessTerm) -> Step:
+        summands = self.info[node].summands
+        weights: dict[str, Fraction] = {}
+        for name, rate, _ in summands:
+            if rate.passive:
+                weights[name] = weights.get(name, Fraction(0)) + rate.value
+        moves: list[tuple[Fraction, int, t.ProcessTerm]] = []
+        for name, value, target in self._aggregated[state]:
+            if name == t.TAU:
+                moves.append((value, target, node))
+                continue
+            for sname, srate, sbody in summands:
+                if sname == name and srate.passive:
+                    moves.append((value * srate.value / weights[name], target, sbody))
+        for sname, srate, sbody in summands:
+            if sname == t.TAU and not srate.passive:
+                moves.append((srate.value, state, sbody))
+        total = sum((value for value, _, _ in moves), Fraction(0))
+        if total == 0:
+            return None, ()
+        return 1 / total, tuple((value / total, s, n) for value, s, n in moves)
+
+
 def prob_pass(process: t.ProcessTerm, test: Test, theta: Theta, state_bound: int = 10000) -> Fraction:
     """Probability of passing the test within the stepwise bounds theta.
 
     Only successful computations of length exactly |theta| count, each step
     no slower on average than the corresponding bound.  A computation that
     reaches success earlier contributes at the shorter bound sequences.
+
+    One forward pass over the product of the process LMTS with the test:
+    the frontier maps (process state, test node, success seen) to the
+    probability of reaching it within the bounds so far.  Entries that can
+    no longer succeed, that stop before |theta| steps, or whose next step
+    is slower on average than its bound are dropped.  state_bound limits
+    the states of the process LMTS; the product is never larger than that
+    times the nodes of the test.
+
+    The process must be closed, guarded, free of the name z and
+    performance-closed; build_lts raises its CalcError for the first
+    three, and NotPerformanceClosed is raised for the last.
     """
-    length = len(theta)
-    candidates = filter_len(
-        successful_computations(process, test, length, state_bound=state_bound), length
-    )
-    return prob_set(filter_le_theta(candidates, theta))
+    lts = build_lts(process, state_bound=state_bound)
+    product = InteractionProduct(lts, test)
+    info = product.info
+    frontier = {(0, test.term, info[test.term].successful): Fraction(1)}
+    for bound in theta:
+        reached: dict[tuple[int, t.ProcessTerm, bool], Fraction] = {}
+        for (state, node, seen), mass in frontier.items():
+            if not seen and not info[node].live:
+                continue
+            sojourn, branches = product.step(state, node)
+            if sojourn is None or sojourn > bound:
+                continue
+            for share, state2, node2 in branches:
+                key = (state2, node2, seen or info[node2].successful)
+                reached[key] = reached.get(key, Fraction(0)) + mass * share
+        frontier = reached
+    return sum((mass for (_, _, seen), mass in frontier.items() if seen), Fraction(0))
 
 
 def _nest(summands: list[t.ProcessTerm]) -> t.ProcessTerm:

@@ -119,6 +119,8 @@ def test_criterion_05_congruence():
 def test_criterion_06_length_indexed_matches_old_definition():
     rng = Random(300)
     for pair in random_pairs(rng, 100, depth=3, max_states=8, tau=False):
+        for side in (pair.left, pair.right):
+            assert all(tr.name != t.TAU for tr in build_lts(side).transitions()), str(side)
         new = bounded_testing_oracle(pair.left, pair.right, depth=3)
         old = old_style_oracle(pair.left, pair.right, depth=3)
         assert new.equivalent == old.equivalent, (str(pair.left), str(pair.right))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from mpcalc import cli
 from mpcalc.cli import main
 
 
@@ -40,6 +41,23 @@ def test_eval_test_prints_exact_value(capsys):
     code, out, _ = run(capsys, "eval-test", "-p", "<tau,1>.0 + <a,1>.0",
                        "-t", "<a,*1>.s", "--theta", "1/2")
     assert code == 0 and out == "1/2 ~ 0.5\n"
+
+
+def test_eval_test_errors_exit_two(capsys):
+    code, out, err = run(capsys, "eval-test", "-p", "<a,*1>.0",
+                         "-t", "s", "--theta", "1")
+    assert code == 2 and out == "" and err.startswith("error:")
+    code, out, err = run(capsys, "eval-test", "-p", "<a,1>.<a,1>.0",
+                         "-t", "s", "--theta", "1", "--state-bound", "2")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_eval_test_state_bound_counts_process_states_only(capsys):
+    # one process state, three states of the interaction with the test
+    code, out, _ = run(capsys, "eval-test", "-p", "rec X : <a,1>.X",
+                       "-t", "<a,*1>.<a,*1>.s", "--theta", "1,1",
+                       "--state-bound", "1")
+    assert code == 0 and out == "1\n"
 
 
 def test_eval_formula_prints_fraction_and_decimal(capsys):
@@ -117,6 +135,34 @@ def test_corpus_jobs_match_serial_verdicts(capsys):
     assert code == 0
     code, parallel, _ = run(capsys, *serial, "--jobs", "2")
     assert code == 0 and parallel == expected
+
+
+def test_corpus_jobs_are_capped_at_the_cpu_count(capsys, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        # stands in for ProcessPoolExecutor: records its size, maps in-process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    args = ("corpus", "--seed", "4", "--count", "2", "--pairs", "--check", "--jobs", "64")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    code, _, _ = run(capsys, *args)
+    assert code == 0 and sizes == [3]
+    # an unknown CPU count means one worker: no pool at all
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    code, _, _ = run(capsys, *args)
+    assert code == 0 and sizes == [3]
 
 
 def test_usage_error_exits_two(capsys):

@@ -39,6 +39,8 @@ def test_tau_free_generation():
         term = random_term(rng, depth=3, tau=False)
         assert all(prefix.name != t.TAU for prefix in t.subterms(term)
                    if isinstance(prefix, t.Prefix))
+        # hiding must not turn a visible move into an internal one either
+        assert all(tr.name != t.TAU for tr in build_lts(term).transitions()), str(term)
 
 
 def test_pair_kinds():

@@ -11,8 +11,6 @@ from mpcalc.corpus import random_term
 from mpcalc.errors import NotPerformanceClosed, NotWellFormed
 from mpcalc.parser import parse_formula, parse_term
 from mpcalc.rates import EXPONENTIAL, rate_o
-from mpcalc.semantics import build_lts
-from mpcalc.terms import TAU
 from mpcalc.testing import make_test, prob_pass
 
 
@@ -119,10 +117,6 @@ def test_tau_free_eval_matches_translated_test(seed):
     # semantics of the translated test coincide exactly
     rng = Random(seed)
     process = random_term(rng, depth=3, max_states=10, tau=False)
-    # tau=False keeps tau out of the prefixes only; hiding can still make
-    # internal moves, e.g. in <a,1/2>.0 / {a} |[]| <a,3>.(0 + 0)
-    while any(tr.name == TAU for tr in build_lts(process).transitions()):
-        process = random_term(rng, depth=3, max_states=10, tau=False)
     formulas = ml.enumerate_formulas(("a", "b"), 2)
     formula = formulas[rng.randrange(len(formulas))]
     test = make_test(ml.formula_test(formula))

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpcalc import terms as t
+from mpcalc.computations import filter_le_theta, filter_len, prob_set
 from mpcalc.corpus import random_term
 from mpcalc.errors import NotPerformanceClosed, NotWellFormed
+from mpcalc.oracle import (_liberal_variants, _tau_variants,
+                           passing_probability, successful_measures)
 from mpcalc.parser import parse_term, parse_test_body
 from mpcalc.semantics import build_lts, derive_transitions
 from mpcalc.testing import (canonical_tests, interaction, make_test,
@@ -140,3 +143,48 @@ def test_prob_pass_within_unit_interval(seed):
                   for _ in range(rng.randint(0, 3)))
     value = prob_pass(process, test, theta)
     assert 0 <= value <= 1
+
+
+def _term_level_prob_pass(process, test, theta):
+    # the definition, read literally: successful computations of the
+    # composed interaction term of length exactly |theta| within theta
+    n = len(theta)
+    return prob_set(filter_le_theta(
+        filter_len(successful_computations(process, test, n), n), theta))
+
+
+_REACTIVE = canonical_tests(["a", "b"], 2)
+_TEST_FAMILIES = (_REACTIVE, _liberal_variants(_REACTIVE), _tau_variants(_REACTIVE))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_prob_pass_matches_the_term_level_reference(seed):
+    rng = Random(seed)
+    process = random_term(rng, depth=3, max_states=8)
+    while not any(tr.name == t.TAU for tr in build_lts(process).transitions()):
+        process = random_term(rng, depth=3, max_states=8)
+    family = rng.choice(_TEST_FAMILIES)
+    test = family[rng.randrange(len(family))]
+    theta = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 3))
+                  for _ in range(rng.randint(0, 4)))
+    assert prob_pass(process, test, theta) == _term_level_prob_pass(process, test, theta)
+
+
+def test_prob_pass_long_theta_on_tau_loops():
+    # 3^20 computations of length 20; the forward pass keeps one product state
+    theta = (Fraction(1, 6),) * 20
+    loop = parse_term("rec X : <tau,1>.X + <tau,2>.X + <tau,3>.X")
+    success = parse_test("s")
+    measures = successful_measures(build_lts(loop), success, len(theta))
+    assert prob_pass(loop, success, theta) == passing_probability(measures, theta) == 1
+    slower = theta[:-1] + (Fraction(1, 7),)
+    assert prob_pass(loop, success, slower) == passing_probability(measures, slower) == 0
+    # exit rate 6 before the test takes a and 4 after, when a is blocked
+    visible = parse_term("rec X : <tau,1>.X + <a,2>.X + <tau,3>.X")
+    guard = parse_test("<a,*1>.s")
+    measures = successful_measures(build_lts(visible), guard, len(theta))
+    for bound, expected in ((Fraction(1, 6), Fraction(2, 3) ** 19 / 3),
+                            (Fraction(1, 4), 1 - Fraction(2, 3) ** 20)):
+        theta = (bound,) * 20
+        assert prob_pass(visible, guard, theta) == passing_probability(measures, theta) == expected
