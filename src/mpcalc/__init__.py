@@ -16,8 +16,7 @@ from .errors import (CalcError, DependentComputations, LawError,
                      NotPerformanceClosed, NotWellFormed, ParseError,
                      RateValueError, ReservedNameError, StateBoundExceeded)
 from .mlogic import (TRUE, CharReport, Diamond, Formula, Or,
-                     characterization_check, enumerate_formulas, formula_test,
-                     no_init_tau)
+                     characterization_check, enumerate_formulas, formula_test)
 from .mlogic import eval as eval_formula
 from .mlogic import init as formula_init
 from .oracle import OracleVerdict, bounded_testing_oracle, old_style_oracle

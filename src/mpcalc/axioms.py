@@ -86,23 +86,8 @@ def replace_at(term: t.ProcessTerm, position: Path, new: t.ProcessTerm) -> t.Pro
     return _with_child(term, head, replace_at(kids[head], position[1:], new))
 
 
-def summand_list(term: t.ProcessTerm) -> list[t.ProcessTerm]:
-    if isinstance(term, t.Choice):
-        return summand_list(term.left) + summand_list(term.right)
-    return [term]
-
-
-def nest_right(parts: list[t.ProcessTerm]) -> t.ProcessTerm:
-    if not parts:
-        return t.NIL
-    acc = parts[-1]
-    for p in reversed(parts[:-1]):
-        acc = t.Choice(p, acc)
-    return acc
-
-
 def _prefix_sum(term: t.ProcessTerm, law: str) -> list[t.Prefix]:
-    parts = summand_list(term)
+    parts = t.summand_list(term)
     if not all(isinstance(p, t.Prefix) for p in parts):
         raise LawError(f"{law} needs a sum of prefixes, got {term}")
     return parts  # type: ignore[return-value]
@@ -141,7 +126,7 @@ def _a4(term: t.ProcessTerm) -> t.ProcessTerm:
             continue
         for p in _prefix_sum(b.body, "A4"):
             inner.append(t.Prefix(p.name, t.Rate(share * p.rate.value), p.body))
-    return t.Prefix(name, t.Rate(total), nest_right(inner))
+    return t.Prefix(name, t.Rate(total), t.nest_right(inner))
 
 
 def _a5(term: t.Parallel) -> t.ProcessTerm:
@@ -176,7 +161,7 @@ def _a5(term: t.Parallel) -> t.ProcessTerm:
                     wr = weight(term.right, k.name)
                     value = (k.rate.value / wl) * (h.rate.value / wr) * (wl + wr)
                     out.append(t.Prefix(k.name, t.Rate(value, passive=True), par(k.body, h.body)))
-    return nest_right(out)
+    return t.nest_right(out)
 
 
 def _a6(term: t.Parallel) -> t.ProcessTerm:
@@ -187,7 +172,7 @@ def _a6(term: t.Parallel) -> t.ProcessTerm:
         for p in parts
         if p.name not in term.sync
     ]
-    return nest_right(kept)
+    return t.nest_right(kept)
 
 
 def _a7(term: t.Parallel) -> t.ProcessTerm:
@@ -197,7 +182,7 @@ def _a7(term: t.Parallel) -> t.ProcessTerm:
         for p in parts
         if p.name not in term.sync
     ]
-    return nest_right(kept)
+    return t.nest_right(kept)
 
 
 def _rewrite(law: str, direction: str, x: t.ProcessTerm) -> t.ProcessTerm:
@@ -373,9 +358,9 @@ def _eliminate(x: t.ProcessTerm, pos: Path | None, steps) -> t.ProcessTerm:
     # A5-A7, A10, A11 and A14 give a sum of prefixes whose continuations
     # are static operators over expanded operands; they are eliminated
     # directly, without walking the operands again
-    parts = summand_list(result)
+    parts = t.summand_list(result)
     n = len(parts)
-    return nest_right([
+    return t.nest_right([
         t.Prefix(p.name, p.rate, _eliminate(p.body, _at(_summand_at(pos, i, n), 0), steps))
         for i, p in enumerate(parts)
     ])
@@ -398,7 +383,7 @@ def _sort_key(term: t.ProcessTerm):
             _sort_key(term.body),
         )
     if isinstance(term, t.Choice):
-        return (2, tuple(_sort_key(p) for p in summand_list(term)))
+        return (2, tuple(_sort_key(p) for p in t.summand_list(term)))
     return (0,)
 
 
@@ -428,14 +413,14 @@ def _mergeable(parts: list[t.ProcessTerm]) -> dict[tuple, list[int]]:
 def _has_passive_top(body: t.ProcessTerm) -> bool:
     if body == t.NIL:
         return False
-    parts = summand_list(body)
+    parts = t.summand_list(body)
     return any(not isinstance(p, t.Prefix) or p.rate.passive for p in parts)
 
 
 def _flatten(term: t.ProcessTerm, pos: Path | None, steps) -> list[t.ProcessTerm]:
     """Summands of the sum at pos, which A2 rotations nest to the right."""
     if steps is None:
-        return summand_list(term)
+        return t.summand_list(term)
     parts = []
     while isinstance(term, t.Choice):
         if isinstance(term.left, t.Choice):
@@ -488,11 +473,11 @@ def _canon(term: t.ProcessTerm, pos: Path | None, steps) -> t.ProcessTerm:
         parts = _sort_summands(parts, [i in members for i in range(len(parts))], pos, steps)
         start = len(parts) - len(members)
         merge_at = _at(pos, *(1,) * start)
-        merged = _a4(nest_right(parts[start:]))
+        merged = _a4(t.nest_right(parts[start:]))
         _record(steps, "A4", merge_at, binding=(("width", str(len(members))),))
         merged = t.Prefix(merged.name, merged.rate, _canon(merged.body, _at(merge_at, 0), steps))
         parts = parts[:start] + [merged]
-    return nest_right(_sort_summands(parts, [_sort_key(p) for p in parts], pos, steps))
+    return t.nest_right(_sort_summands(parts, [_sort_key(p) for p in parts], pos, steps))
 
 
 def _normalize(term: t.ProcessTerm, state_bound: int, steps) -> t.ProcessTerm:

@@ -28,6 +28,23 @@ def make_theta(values: Iterable) -> Theta:
     return theta
 
 
+def breakpoint_grid(values: Iterable[Fraction], cap: int) -> list[Fraction]:
+    """Candidate bounds around the given sojourn times: the distinct values,
+    midpoints of adjacent ones and one value past the maximum ([1] when
+    there are none), thinned evenly to at most cap entries, ends kept."""
+    if cap < 2:
+        raise ValueError(f"a time grid needs a cap of at least 2, got {cap}")
+    base = sorted(set(values))
+    if not base:
+        return [Fraction(1)]
+    full = base + [(a + b) / 2 for a, b in zip(base, base[1:])] + [base[-1] + 1]
+    full.sort()
+    if len(full) > cap:
+        step = (len(full) - 1) / (cap - 1)
+        full = [full[round(i * step)] for i in range(cap)]
+    return full
+
+
 @d.dataclass(frozen=True)
 class Computation:
     origin: t.ProcessTerm

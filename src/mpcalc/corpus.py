@@ -20,8 +20,7 @@ from random import Random
 from typing import Sequence
 
 from . import terms as t
-from .axioms import (LAW_IDS, RewriteStep, apply_law, nest_right, replace_at,
-                     subterm_at, summand_list)
+from .axioms import LAW_IDS, RewriteStep, apply_law, replace_at, subterm_at
 from .errors import CalcError, LawError
 from .semantics import build_lts
 
@@ -181,7 +180,7 @@ def _exp_sum(rng: Random, names: Sequence[str], k: int, depth: int,
     parts = [t.Prefix(rng.choice(pool), _rate(rng),
                       _grow(rng, names, depth, False, False))
              for _ in range(k)]
-    return nest_right(parts)
+    return t.nest_right(parts)
 
 
 def _small(rng: Random, names: Sequence[str]) -> t.ProcessTerm:
@@ -200,7 +199,7 @@ def _reactive_sum(rng: Random, names: Sequence[str], sync: frozenset[str],
         else:
             parts.append(t.Prefix(rng.choice(list(names)), _rate(rng),
                                   _small(rng, names)))
-    return nest_right(parts)
+    return t.nest_right(parts)
 
 
 def _a4_branches(rng: Random, names: Sequence[str]) -> list[t.Prefix]:
@@ -219,14 +218,14 @@ def _a4_branches(rng: Random, names: Sequence[str]) -> list[t.Prefix]:
                                            _small(rng, names)))
             else:
                 body_parts.append(t.Prefix(name, t.Rate(total), _small(rng, names)))
-        branches.append(t.Prefix(head, _rate(rng), nest_right(body_parts)))
+        branches.append(t.Prefix(head, _rate(rng), t.nest_right(body_parts)))
     return branches
 
 
 def a4_instance(rng: Random, names: Sequence[str] = ("a", "b")) -> t.ProcessTerm:
     """A random sum satisfying the merge side condition."""
     for _ in range(200):
-        candidate = nest_right(list(_a4_branches(rng, names)))
+        candidate = t.nest_right(list(_a4_branches(rng, names)))
         try:
             apply_law(candidate, RewriteStep("A4"))
         except LawError:
@@ -239,16 +238,16 @@ def a4_instance(rng: Random, names: Sequence[str] = ("a", "b")) -> t.ProcessTerm
 def _a4_merge_anyway(term: t.ProcessTerm) -> t.ProcessTerm:
     # The law's right-hand side without the side condition; used only to
     # manufacture expected-inequivalent pairs.
-    branches = summand_list(term)
+    branches = t.summand_list(term)
     total = sum((b.rate.value for b in branches), Fraction(0))
     inner = []
     for b in branches:
         share = b.rate.value / total
         if b.body == t.NIL:
             continue
-        for p in summand_list(b.body):
+        for p in t.summand_list(b.body):
             inner.append(t.Prefix(p.name, t.Rate(share * p.rate.value), p.body))
-    return t.Prefix(branches[0].name, t.Rate(total), nest_right(inner))
+    return t.Prefix(branches[0].name, t.Rate(total), t.nest_right(inner))
 
 
 def a4_violation(rng: Random, names: Sequence[str] = ("a", "b")
@@ -260,16 +259,16 @@ def a4_violation(rng: Random, names: Sequence[str] = ("a", "b")
     """
     for _ in range(200):
         base = a4_instance(rng, names)
-        branches = summand_list(base)
+        branches = t.summand_list(base)
         which = rng.randrange(len(branches))
-        body_parts = summand_list(branches[which].body)
+        body_parts = t.summand_list(branches[which].body)
         spot = rng.randrange(len(body_parts))
         p = body_parts[spot]
         body_parts[spot] = t.Prefix(p.name, t.Rate(p.rate.value + 1), p.body)
         bumped = list(branches)
         bumped[which] = t.Prefix(branches[which].name, branches[which].rate,
-                                 nest_right(body_parts))
-        lhs = nest_right(bumped)
+                                 t.nest_right(body_parts))
+        lhs = t.nest_right(bumped)
         try:
             apply_law(lhs, RewriteStep("A4"))
         except LawError:

@@ -68,17 +68,16 @@ def embed(lts: LMTS) -> WeightedAutomaton:
     init = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))
     terminal = [Fraction(0)] * n
     rows: dict[AugmentedLabel, dict[int, dict[int, Fraction]]] = {}
-    for i, group in enumerate(lts.outgoing):
-        if not group:
+    for i, moves in enumerate(lts.moves):
+        if not moves:
             terminal[i] = Fraction(1)
             continue
-        exit_rate = sum((tr.aggregate for tr in group), Fraction(0))
-        ready = frozenset(tr.name for tr in group)
-        for tr in group:
-            label = AugmentedLabel(ready, tr.name, exit_rate)
+        exit_rate = sum((rate for _, rate, _ in moves), Fraction(0))
+        ready = frozenset(name for name, _, _ in moves)
+        for name, rate, j in moves:
+            label = AugmentedLabel(ready, name, exit_rate)
             row = rows.setdefault(label, {}).setdefault(i, {})
-            j = lts.index[tr.target]
-            row[j] = row.get(j, Fraction(0)) + tr.aggregate / exit_rate
+            row[j] = row.get(j, Fraction(0)) + rate / exit_rate
     matrices = {
         label: {src: tuple(sorted(row.items())) for src, row in by_src.items()}
         for label, by_src in rows.items()

@@ -10,10 +10,17 @@ freed up by dropping the competing initial actions; both corrections keep
 the value aligned with what a canonical reactive test offering the same
 initial actions would measure.
 
-characterization_check sweeps enumerated formulas against a time grid and
-cross-checks the outcome with the exact decider: a differing (phi, theta)
-on a decider-equivalent pair is a bug witness in one of the two, never
-something to patch over.
+Formulas are evaluated on the state indices of the process's LMTS,
+reading each state's moves from LMTS.moves, the move table that the
+decider's embedding and the interaction product of the testing module
+read too.  A disjunct sees its state without the tau moves: the memo key
+(state, tau_stripped, theta, formula) carries that as a flag, so no
+term is rebuilt.
+
+characterization_check builds each side's LMTS once, sweeps enumerated
+formulas against a time grid and cross-checks the outcome with the exact
+decider: a differing (phi, theta) on a decider-equivalent pair is a bug
+witness in one of the two, never something to patch over.
 """
 
 from __future__ import annotations
@@ -25,10 +32,10 @@ from itertools import combinations, product as cartesian
 from typing import Iterable, Sequence
 
 from . import terms as t
-from .computations import Theta, make_theta
+from .computations import Theta, breakpoint_grid, make_theta
+from .decider import embed, prob_language_equiv
 from .errors import NotPerformanceClosed, NotWellFormed
-from .rates import EXPONENTIAL, rate_o_set
-from .semantics import build_lts, derive_transitions
+from .semantics import Move, build_lts
 
 _ONE = Fraction(1)
 
@@ -113,52 +120,84 @@ def depth(formula: Formula) -> int:
     return max(depth(formula.left), depth(formula.right))
 
 
-@lru_cache(maxsize=None)
-def no_init_tau(term: t.ProcessTerm) -> t.ProcessTerm:
-    """A view of term without its tau-transitions.
-
-    The view is a sum with one prefix summand per non-tau derivation, so
-    its transition multiset is exactly the original minus tau; it is Nil
-    when every transition of term is a tau.
-    """
-    summands: list[t.ProcessTerm] = []
-    for (name, rate, target), count in derive_transitions(term):
-        if name == t.TAU:
-            continue
-        summands.extend(t.Prefix(name, rate, target) for _ in range(count))
-    view = t.NIL
-    for summand in reversed(summands):
-        view = summand if view is t.NIL else t.Choice(summand, view)
-    return view
+# A state's rate totals per action name, read off its move table.
+Totals = dict[str, Fraction]
 
 
-@lru_cache(maxsize=None)
-def _aggregated(term: t.ProcessTerm) -> tuple[tuple[str, Fraction, t.ProcessTerm], ...]:
-    # Performance closure is checked upfront by eval, so every rate here
-    # is exponential and aggregates as value * multiplicity.
-    return tuple((name, rate.value * count, target)
-                 for (name, rate, target), count in derive_transitions(term))
-
-
-@lru_cache(maxsize=None)
-def _rate_by_name(term: t.ProcessTerm) -> dict[str, Fraction]:
-    totals: dict[str, Fraction] = {}
-    for name, rate, _ in _aggregated(term):
+def _totals(moves: tuple[Move, ...]) -> Totals:
+    totals: Totals = {}
+    for name, rate, _ in moves:
         totals[name] = totals.get(name, Fraction(0)) + rate
     return totals
 
 
-def _rate_over(term: t.ProcessTerm, names: frozenset[str],
-               with_tau: bool) -> Fraction:
-    totals = _rate_by_name(term)
+def _rate_over(totals: Totals, names: Iterable[str], with_tau: bool) -> Fraction:
     value = totals.get(t.TAU, Fraction(0)) if with_tau else Fraction(0)
     for name in names:
         value += totals.get(name, Fraction(0))
     return value
 
 
+class _Semantics:
+    """Formula values on the states of one performance-closed LMTS.
+
+    Values are memoized on (state, tau_stripped, theta, formula); with
+    tau_stripped set a state is evaluated as if its tau moves were absent,
+    which is how an Or disjunct sees the process.
+    """
+
+    def __init__(self, process: t.ProcessTerm, state_bound: int):
+        self.lts = build_lts(process, state_bound)
+        if not self.lts.performance_closed:
+            raise NotPerformanceClosed(
+                f"formula interpretation needs a performance-closed term: {process}")
+        self.moves = self.lts.moves
+        self.totals = [_totals(moves) for moves in self.moves]
+        self.memo: dict[tuple[int, bool, Theta, Formula], Fraction] = {}
+
+    def value(self, state: int, tau_stripped: bool, theta: Theta,
+              formula: Formula) -> Fraction:
+        key = (state, tau_stripped, theta, formula)
+        cached = self.memo.get(key)
+        if cached is None:
+            cached = self._clause(state, tau_stripped, theta, formula)
+            self.memo[key] = cached
+        return cached
+
+    def _clause(self, state: int, tau_stripped: bool, theta: Theta,
+                formula: Formula) -> Fraction:
+        if not theta:
+            return _ONE if isinstance(formula, _True) else Fraction(0)
+        totals = self.totals[state]
+        denominator = _rate_over(totals, init(formula), with_tau=not tau_stripped)
+        if denominator == 0:
+            return Fraction(0)
+        head, rest = theta[0], theta[1:]
+        # Or has no time guard of its own; the adjusted head times are
+        # checked by the inner clauses.
+        if not isinstance(formula, Or) and _ONE / denominator > head:
+            return Fraction(0)
+        total = Fraction(0)
+        for name, rate, target in self.moves[state]:
+            if name == t.TAU and not tau_stripped:
+                # past an initial tau the whole formula races on
+                total += rate / denominator * self.value(target, False, rest, formula)
+            elif isinstance(formula, Diamond) and name == formula.name:
+                total += rate / denominator * self.value(target, False, rest, formula.body)
+        if isinstance(formula, Or):
+            # weight each disjunct and grant it the freed-up sojourn time
+            for disjunct in (formula.left, formula.right):
+                numerator = _rate_over(totals, init(disjunct), with_tau=False)
+                if numerator == 0:
+                    continue
+                adjusted = head + (_ONE / numerator - _ONE / denominator)
+                total += (numerator / denominator
+                          * self.value(state, True, (adjusted,) + rest, disjunct))
+        return total
+
+
 def eval(process: t.ProcessTerm, theta: Theta, formula: Formula,
-         state_bound: int = 10000, *, _memo: dict | None = None) -> Fraction:
+         state_bound: int = 10000) -> Fraction:
     """Probability that process satisfies formula quickly enough.
 
     theta holds one average-time upper bound per computation step; the
@@ -166,76 +205,8 @@ def eval(process: t.ProcessTerm, theta: Theta, formula: Formula,
     """
     if not isinstance(formula, Formula):
         raise NotWellFormed(f"not a formula: {formula!r}")
-    _require_ctmc(process, state_bound)
-    theta = make_theta(theta)
-    memo = {} if _memo is None else _memo
-    return _eval(process, theta, formula, memo)
-
-
-def _require_ctmc(process: t.ProcessTerm, state_bound: int) -> None:
-    lts = build_lts(process, state_bound)
-    if not lts.performance_closed:
-        raise NotPerformanceClosed(
-            f"formula interpretation needs a performance-closed term: {process}")
-
-
-def _eval(process: t.ProcessTerm, theta: Theta, formula: Formula,
-          memo: dict) -> Fraction:
-    key = (process, theta, formula)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    value = _eval_clause(process, theta, formula, memo)
-    memo[key] = value
-    return value
-
-
-def _eval_clause(process: t.ProcessTerm, theta: Theta, formula: Formula,
-                 memo: dict) -> Fraction:
-    if not theta:
-        return _ONE if isinstance(formula, _True) else Fraction(0)
-    denominator = _rate_over(process, init(formula), with_tau=True)
-    if denominator == 0:
-        return Fraction(0)
-    head, rest = theta[0], theta[1:]
-    entries = _aggregated(process)
-
-    if isinstance(formula, _True):
-        if _ONE / denominator > head:
-            return Fraction(0)
-        return sum((rate / denominator * _eval(target, rest, formula, memo)
-                    for name, rate, target in entries if name == t.TAU),
-                   Fraction(0))
-
-    if isinstance(formula, Diamond):
-        if _ONE / denominator > head:
-            return Fraction(0)
-        total = Fraction(0)
-        for name, rate, target in entries:
-            if name == formula.name:
-                total += rate / denominator * _eval(target, rest, formula.body, memo)
-            elif name == t.TAU:
-                total += rate / denominator * _eval(target, rest, formula, memo)
-        return total
-
-    # Or: weight each disjunct, grant it the freed-up sojourn time, and
-    # keep racing the whole formula past initial taus.  No time guard
-    # here; the adjusted head times are checked by the inner clauses.
-    total = Fraction(0)
-    view = None
-    for disjunct in (formula.left, formula.right):
-        numerator = _rate_over(process, init(disjunct), with_tau=False)
-        if numerator == 0:
-            continue
-        if view is None:
-            view = no_init_tau(process)
-        adjusted = head + (_ONE / numerator - _ONE / denominator)
-        total += (numerator / denominator
-                  * _eval(view, (adjusted,) + rest, disjunct, memo))
-    for name, rate, target in entries:
-        if name == t.TAU:
-            total += rate / denominator * _eval(target, rest, formula, memo)
-    return total
+    semantics = _Semantics(process, state_bound)
+    return semantics.value(0, False, make_theta(theta), formula)
 
 
 def enumerate_formulas(names: Iterable[str], formula_depth: int) -> list[Formula]:
@@ -281,31 +252,16 @@ def formula_test(formula: Formula) -> t.ProcessTerm:
     return t.Choice(formula_test(formula.left), formula_test(formula.right))
 
 
-def _time_grid(processes: Sequence[t.ProcessTerm], names: Sequence[str],
-               state_bound: int, cap: int) -> tuple[Fraction, ...]:
+def _time_grid(sides: Sequence[_Semantics], names: Sequence[str],
+               cap: int) -> list[Fraction]:
     # Candidate head times are reciprocals of the exit rates the clauses
     # actually compare against, plus midpoints and one value past the max.
-    rates: set[Fraction] = set()
-    for process in processes:
-        for state in build_lts(process, state_bound).states:
-            pools = [{t.TAU}, set(names) | {t.TAU}]
-            pools.extend({name} for name in names)
-            pools.extend({name, t.TAU} for name in names)
-            for pool in pools:
-                total = rate_o_set(state, pool, EXPONENTIAL)
-                if total > 0:
-                    rates.add(total)
-    values = sorted(Fraction(1, 1) / rate for rate in rates)
-    if not values:
-        return (Fraction(1),)
-    filled = list(values)
-    filled.extend((a + b) / 2 for a, b in zip(values, values[1:]))
-    filled.append(values[-1] + 1)
-    filled = sorted(set(filled))
-    if len(filled) > cap:
-        step = (len(filled) - 1) / (cap - 1)
-        filled = [filled[round(i * step)] for i in range(cap)]
-    return tuple(filled)
+    pools = [((), True), (names, True)]
+    pools.extend(((name,), with_tau) for name in names for with_tau in (False, True))
+    rates = {_rate_over(totals, pool, with_tau)
+             for side in sides for totals in side.totals
+             for pool, with_tau in pools}
+    return breakpoint_grid((_ONE / rate for rate in rates if rate > 0), cap)
 
 
 @d.dataclass(frozen=True)
@@ -313,7 +269,7 @@ class CharReport:
     """Outcome of a formula-grid sweep against the decider verdict."""
 
     consistent: bool
-    decider_equivalent: bool | None
+    decider_equivalent: bool
     formula: Formula | None
     theta: Theta | None
     value_left: Fraction | None
@@ -323,57 +279,42 @@ class CharReport:
     @property
     def theorem_violation(self) -> bool:
         """True when a differing pair contradicts decider equivalence."""
-        return not self.consistent and bool(self.decider_equivalent)
+        return not self.consistent and self.decider_equivalent
 
 
-def characterization_check(p1: t.ProcessTerm, p2: t.ProcessTerm,
-                           names: Iterable[str] | None = None,
+def characterization_check(p1: t.ProcessTerm, p2: t.ProcessTerm, *,
                            formula_depth: int = 3,
-                           theta_grid: Iterable[Sequence] | None = None,
                            state_bound: int = 10000,
-                           consult_decider: bool = True,
                            grid_cap: int = 4,
                            max_theta_len: int | None = None) -> CharReport:
     """Sweep formulas and bound sequences, reporting the first difference.
 
-    The verdict is consistent when no enumerated (formula, theta) pair
-    separates the processes; otherwise the earliest difference is
-    returned as a counterexample.  When the decider is consulted, a
-    counterexample on an equivalent pair flags a theorem violation.
+    Formulas range over the visible names of both processes up to
+    formula_depth; bound sequences up to max_theta_len (default:
+    formula_depth) entries over a grid of at most grid_cap values, which
+    must be at least 2.  The verdict is consistent when no (formula,
+    theta) pair separates the processes; otherwise the earliest
+    difference is returned as a counterexample, and a counterexample on
+    a pair the decider finds equivalent flags a theorem violation.
     """
-    _require_ctmc(p1, state_bound)
-    _require_ctmc(p2, state_bound)
-    lts1 = build_lts(p1, state_bound)
-    lts2 = build_lts(p2, state_bound)
-    if names is None:
-        names = sorted(lts1.visible_names() | lts2.visible_names())
-    else:
-        names = sorted(set(names) - {t.TAU})
+    left = _Semantics(p1, state_bound)
+    right = _Semantics(p2, state_bound)
+    names = sorted(left.lts.visible_names() | right.lts.visible_names())
     formulas = enumerate_formulas(names, formula_depth)
-    if theta_grid is None:
-        length = formula_depth if max_theta_len is None else max_theta_len
-        values = _time_grid((p1, p2), names, state_bound, grid_cap)
-        thetas = [make_theta(combo)
-                  for size in range(length + 1)
-                  for combo in cartesian(values, repeat=size)]
-    else:
-        thetas = [make_theta(entry) for entry in theta_grid]
+    length = formula_depth if max_theta_len is None else max_theta_len
+    values = _time_grid((left, right), names, grid_cap)
+    thetas = [make_theta(combo)
+              for size in range(length + 1)
+              for combo in cartesian(values, repeat=size)]
+    equivalent = prob_language_equiv(embed(left.lts), embed(right.lts)).equivalent
 
-    verdict = None
-    if consult_decider:
-        from .decider import decide_equiv
-        verdict = decide_equiv(p1, p2, state_bound=state_bound,
-                               with_test_witness=False).equivalent
-
-    memo1: dict = {}
-    memo2: dict = {}
     checked = 0
     for formula in formulas:
         checked += 1
         for theta in thetas:
-            left = _eval(p1, theta, formula, memo1)
-            right = _eval(p2, theta, formula, memo2)
-            if left != right:
-                return CharReport(False, verdict, formula, theta,
-                                  left, right, checked)
-    return CharReport(True, verdict, None, None, None, None, checked)
+            value_left = left.value(0, False, theta, formula)
+            value_right = right.value(0, False, theta, formula)
+            if value_left != value_right:
+                return CharReport(False, equivalent, formula, theta,
+                                  value_left, value_right, checked)
+    return CharReport(True, equivalent, None, None, None, None, checked)

@@ -23,8 +23,9 @@ from fractions import Fraction
 from itertools import product as cartesian
 
 from . import terms as t
+from .computations import breakpoint_grid
 from .semantics import LMTS, build_lts
-from .testing import InteractionProduct, Test, canonical_tests, make_test, top_summands
+from .testing import InteractionProduct, Test, canonical_tests, make_test
 
 Vector = tuple[Fraction, ...]
 Measure = dict[Vector, Fraction]
@@ -113,13 +114,13 @@ def _liberal_variants(base: list[Test]) -> list[Test]:
     def decorations(term: t.ProcessTerm):
         if isinstance(term, t.Success):
             return
-        yield _nest_summands(top_summands(term) + [t.SUCCESS])
-        for i, part in enumerate(top_summands(term)):
+        yield t.nest_right(t.summand_list(term) + [t.SUCCESS])
+        for i, part in enumerate(t.summand_list(term)):
             if isinstance(part, t.Prefix) and part.name != t.FAILURE_NAME:
                 for body in decorations(part.body):
-                    parts = list(top_summands(term))
+                    parts = t.summand_list(term)
                     parts[i] = t.Prefix(part.name, part.rate, body)
-                    yield _nest_summands(parts)
+                    yield t.nest_right(parts)
 
     for test in base:
         add(test.term)
@@ -143,29 +144,22 @@ def _tau_variants(base: list[Test], rate_value: Fraction = Fraction(1)) -> list[
     def insertions(term: t.ProcessTerm):
         if not isinstance(term, t.Success):
             yield t.Prefix(t.TAU, rate, term)
-        for i, part in enumerate(top_summands(term)):
+        for i, part in enumerate(t.summand_list(term)):
             if (
                 isinstance(part, t.Prefix)
                 and part.name != t.FAILURE_NAME
                 and part.name != t.TAU
             ):
                 for body in insertions(part.body):
-                    parts = list(top_summands(term))
+                    parts = t.summand_list(term)
                     parts[i] = t.Prefix(part.name, part.rate, body)
-                    yield _nest_summands(parts)
+                    yield t.nest_right(parts)
 
     for test in base:
         add(test.term)
         for variant in insertions(test.term):
             add(variant)
     return out
-
-
-def _nest_summands(parts: list[t.ProcessTerm]) -> t.ProcessTerm:
-    term = parts[-1]
-    for p in reversed(parts[:-1]):
-        term = t.Choice(p, term)
-    return term
 
 
 def _environment(lts1: LMTS, lts2: LMTS) -> list[str]:
@@ -216,24 +210,6 @@ def bounded_testing_oracle(
     return OracleVerdict(equivalent=True, tests_checked=len(tests))
 
 
-def _grid(values: list[Fraction], cap: int = 12) -> list[Fraction]:
-    """Sorted distinct values, midpoints of adjacent ones, and one value
-    past the maximum."""
-    base = sorted(set(values))
-    if not base:
-        return [Fraction(1)]
-    full = []
-    for i, v in enumerate(base):
-        full.append(v)
-        if i + 1 < len(base):
-            full.append((v + base[i + 1]) / 2)
-    full.append(base[-1] + 1)
-    if len(full) > cap:
-        step = (len(full) - 1) / (cap - 1)
-        full = [full[round(i * step)] for i in range(cap)]
-    return full
-
-
 def old_style_oracle(
     p1: t.ProcessTerm,
     p2: t.ProcessTerm,
@@ -269,7 +245,7 @@ def old_style_oracle(
                 for vector in length_measure:
                     for i_pos, value in enumerate(vector):
                         position_values[i_pos].append(value)
-        grids = [_grid(vals) for vals in position_values]
+        grids = [breakpoint_grid(vals, 12) for vals in position_values]
         for length in range(depth + 1):
             for theta in cartesian(*grids[:length]):
                 left = cumulative(m1, theta)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Collection, Iterable
+from typing import Callable, Collection
 
 from . import terms as t
 from .semantics import _normal, derive_transitions
@@ -46,10 +46,6 @@ def rate_e(term: t.ProcessTerm, name: str, level: int, destination: Destination)
 def rate_o(term: t.ProcessTerm, name: str, level: int) -> Fraction:
     """Overall rate towards anywhere."""
     return rate_e(term, name, level, None)
-
-
-def rate_o_set(term: t.ProcessTerm, names: Iterable[str], level: int) -> Fraction:
-    return sum((rate_o(term, name, level) for name in set(names)), Fraction(0))
 
 
 def rate_t(term: t.ProcessTerm, level: int) -> Fraction:

@@ -19,7 +19,7 @@ import dataclasses as d
 import json
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import terms as t
 from .errors import NotWellFormed, StateBoundExceeded
@@ -27,6 +27,9 @@ from .errors import NotWellFormed, StateBoundExceeded
 # A transition entry as produced by derive_transitions: the target is a raw
 # (not alpha-normalized) term.
 Entry = tuple[str, t.Rate, t.ProcessTerm]
+# A row of an LMTS move table: action name, aggregate rate (rate times
+# multiplicity) and target state index.
+Move = tuple[str, Fraction, int]
 
 
 @lru_cache(maxsize=None)
@@ -155,6 +158,13 @@ class LMTS:
     def transitions(self):
         for group in self.outgoing:
             yield from group
+
+    @cached_property
+    def moves(self) -> list[tuple[Move, ...]]:
+        """The move table: per state index, one (name, aggregate rate,
+        target index) row per aggregated transition, in derivation order."""
+        return [tuple((tr.name, tr.aggregate, self.index[tr.target]) for tr in group)
+                for group in self.outgoing]
 
     def state_of(self, term: t.ProcessTerm) -> int:
         return self.index[_normal(term)]

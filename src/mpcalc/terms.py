@@ -175,6 +175,23 @@ def subterms(term: ProcessTerm) -> Iterator[ProcessTerm]:
         yield from subterms(child)
 
 
+def summand_list(term: ProcessTerm) -> list[ProcessTerm]:
+    """The summands of a choice tree, left to right."""
+    if isinstance(term, Choice):
+        return summand_list(term.left) + summand_list(term.right)
+    return [term]
+
+
+def nest_right(parts: list[ProcessTerm]) -> ProcessTerm:
+    """The right-nested choice of parts; NIL when there are none."""
+    if not parts:
+        return NIL
+    acc = parts[-1]
+    for p in reversed(parts[:-1]):
+        acc = Choice(p, acc)
+    return acc
+
+
 def visible_names(term: ProcessTerm) -> frozenset[str]:
     """All visible action names occurring syntactically in the term.
 

@@ -50,14 +50,8 @@ class Test:
         return t.pretty(self.term)
 
 
-def top_summands(term: t.ProcessTerm) -> list[t.ProcessTerm]:
-    if isinstance(term, t.Choice):
-        return top_summands(term.left) + top_summands(term.right)
-    return [term]
-
-
 def is_successful_projection(term: t.ProcessTerm) -> bool:
-    return any(isinstance(s, t.Success) for s in top_summands(term))
+    return any(isinstance(s, t.Success) for s in t.summand_list(term))
 
 
 def _validate(term: t.ProcessTerm, flavor: str, success_ok: bool) -> None:
@@ -163,7 +157,7 @@ def _test_info(test_term: t.ProcessTerm) -> dict[t.ProcessTerm, _NodeInfo]:
     def visit(node: t.ProcessTerm) -> _NodeInfo:
         if node in info:
             return info[node]
-        parts = top_summands(node)
+        parts = t.summand_list(node)
         successful = any(isinstance(p, t.Success) for p in parts)
         summands = []
         live = successful
@@ -202,10 +196,7 @@ class InteractionProduct:
         if not lts.performance_closed:
             raise NotPerformanceClosed("the process under test is not performance-closed")
         self.info = _test_info(test.term)
-        self._aggregated = [
-            [(tr.name, tr.aggregate, lts.index[tr.target]) for tr in group]
-            for group in lts.outgoing
-        ]
+        self._moves = lts.moves
         self._steps: dict[tuple[int, t.ProcessTerm], Step] = {}
 
     def step(self, state: int, node: t.ProcessTerm) -> Step:
@@ -223,7 +214,7 @@ class InteractionProduct:
             if rate.passive:
                 weights[name] = weights.get(name, Fraction(0)) + rate.value
         moves: list[tuple[Fraction, int, t.ProcessTerm]] = []
-        for name, value, target in self._aggregated[state]:
+        for name, value, target in self._moves[state]:
             if name == t.TAU:
                 moves.append((value, target, node))
                 continue
@@ -277,13 +268,6 @@ def prob_pass(process: t.ProcessTerm, test: Test, theta: Theta, state_bound: int
     return sum((mass for (_, _, seen), mass in frontier.items() if seen), Fraction(0))
 
 
-def _nest(summands: list[t.ProcessTerm]) -> t.ProcessTerm:
-    term = summands[-1]
-    for s in reversed(summands[:-1]):
-        term = t.Choice(s, term)
-    return term
-
-
 def _canonical_step(environment: frozenset[str], name: str, continuation: t.ProcessTerm) -> t.ProcessTerm:
     one = t.Rate.weight(1)
     failure = t.Prefix(t.FAILURE_NAME, one, t.SUCCESS)
@@ -293,7 +277,7 @@ def _canonical_step(environment: frozenset[str], name: str, continuation: t.Proc
             summands.append(t.Prefix(name, one, continuation))
         else:
             summands.append(t.Prefix(b, one, failure))
-    return _nest(summands)
+    return t.nest_right(summands)
 
 
 def canonical_tests(names, depth: int) -> list[Test]:

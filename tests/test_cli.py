@@ -73,6 +73,15 @@ def test_eval_formula_rejects_overlapping_disjuncts(capsys):
     assert code == 2 and "disjoint" in err
 
 
+def test_eval_formula_errors_exit_two(capsys):
+    code, out, err = run(capsys, "eval-formula", "-p", "<a,*1>.0",
+                         "-f", "true", "--theta", "1")
+    assert code == 2 and out == "" and err.startswith("error:")
+    code, out, err = run(capsys, "eval-formula", "-p", "<a,1>.<a,1>.0",
+                         "-f", "<a>true", "--theta", "1", "--state-bound", "2")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_normalize_and_prove(capsys):
     code, out, _ = run(capsys, "normalize", "<a,1>.0 + <a,2>.0")
     assert code == 0 and out == "<a,3>.0\n"

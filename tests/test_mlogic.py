@@ -32,12 +32,6 @@ def test_init_sets():
     assert ml.init(parse_formula("<a>true \\/ <b>true")) == frozenset({"a", "b"})
 
 
-def test_no_init_tau_views():
-    assert ml.no_init_tau(parse_term("<tau,1>.0 + <a,2>.0")) == parse_term("<a,2>.0")
-    assert ml.no_init_tau(parse_term("<tau,1>.0")) == parse_term("0")
-    assert ml.no_init_tau(parse_term("<a,2>.0")) == parse_term("<a,2>.0")
-
-
 def test_eval_base_cases():
     assert ml.eval(parse_term("<tau,9>.0"), (), ml.TRUE) == 1
     assert ml.eval(parse_term("<tau,9>.0"), (), ml.Diamond("a", ml.TRUE)) == 0
@@ -69,22 +63,30 @@ def test_eval_requires_performance_closure():
         ml.eval(parse_term("<a,*1>.0"), (), ml.TRUE)
 
 
-def test_or_clause_weight_conservation():
+def test_one_step_or_closed_form():
+    # Each disjunct sees the root without its tau moves: it moves with
+    # certainty, and its adjusted guard opens exactly when T reaches the
+    # root's mean sojourn time.  The tau moves lead to an empty theta,
+    # where the Or is worth 0.
     rng = Random(41)
     formula = parse_formula("<a>true \\/ <b>true")
-    checked = 0
-    for _ in range(200):
+    nonzero = with_tau = 0
+    for _ in range(300):
         process = random_term(rng, depth=3, max_states=10)
-        r_all = (rate_o(process, "a", EXPONENTIAL)
-                 + rate_o(process, "b", EXPONENTIAL)
-                 + rate_o(process, "tau", EXPONENTIAL))
-        if r_all == 0:
-            continue
-        shares = [Fraction(rate_o(process, name, EXPONENTIAL), r_all)
-                  for name in ("a", "b", "tau")]
-        assert sum(shares) == 1
-        checked += 1
-    assert checked > 50
+        r_a, r_b, r_tau = (rate_o(process, name, EXPONENTIAL)
+                           for name in ("a", "b", "tau"))
+        total = r_a + r_b + r_tau
+        bounds = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(3)]
+        if total:
+            bounds += [1 / total, 1 / total * Fraction(99, 100)]
+        for bound in bounds:
+            expected = Fraction(0)
+            if r_a + r_b > 0 and bound >= 1 / total:
+                expected = (r_a + r_b) / total
+            assert ml.eval(process, (bound,), formula) == expected, (str(process), bound)
+            nonzero += expected != 0
+            with_tau += expected != 0 and r_tau != 0
+    assert nonzero > 100 and with_tau > 30
 
 
 def test_formula_enumeration_counts():
@@ -148,3 +150,22 @@ def test_characterization_on_deferred_choice_pair():
     report = ml.characterization_check(left, right, formula_depth=3)
     assert report.consistent and report.decider_equivalent
     assert report.formulas_checked == 676
+
+
+def test_characterization_grid_cap_below_two_is_rejected():
+    left = parse_term("<a,1>.0 + <b,2>.0")
+    right = parse_term("<a,1>.0 + <b,3>.0")
+    for cap in (1, 0):
+        with pytest.raises(ValueError):
+            ml.characterization_check(left, right, formula_depth=1, grid_cap=cap)
+    report = ml.characterization_check(left, right, formula_depth=1, grid_cap=2)
+    assert not report.consistent and not report.decider_equivalent
+    assert report.formula == parse_formula("<a>true \\/ <b>true")
+    assert report.theta == (Fraction(1, 4),)
+
+
+def test_characterization_requires_performance_closure():
+    closed, open_ = parse_term("<a,1>.0"), parse_term("<a,*1>.0")
+    for left, right in ((open_, closed), (closed, open_)):
+        with pytest.raises(NotPerformanceClosed):
+            ml.characterization_check(left, right, formula_depth=1)
