@@ -27,6 +27,7 @@ import dataclasses as d
 from fractions import Fraction
 
 from . import terms as t
+from .decider import decide_equiv
 from .errors import LawError, NotPerformanceClosed, NotWellFormed
 from .semantics import build_lts, weight
 
@@ -118,6 +119,14 @@ def _a4(term: t.ProcessTerm) -> t.ProcessTerm:
     maps = [_cumulative(b.body, "A4") for b in branches]
     if any(m != maps[0] for m in maps[1:]):
         raise LawError("A4 cumulative derivative rates differ across branches")
+    return a4_merge(branches)
+
+
+def a4_merge(branches: list[t.Prefix]) -> t.Prefix:
+    """The right-hand side of A4 for a sum of same-named timed prefixes
+    whose bodies are nil or sums of prefixes: one prefix at the total
+    rate, each inner prefix rescaled by its branch's share.  The side
+    conditions are checked by _a4, not here."""
     total = sum((b.rate.value for b in branches), Fraction(0))
     inner: list[t.ProcessTerm] = []
     for b in branches:
@@ -126,7 +135,7 @@ def _a4(term: t.ProcessTerm) -> t.ProcessTerm:
             continue
         for p in _prefix_sum(b.body, "A4"):
             inner.append(t.Prefix(p.name, t.Rate(share * p.rate.value), p.body))
-    return t.Prefix(name, t.Rate(total), t.nest_right(inner))
+    return t.Prefix(branches[0].name, t.Rate(total), t.nest_right(inner))
 
 
 def _a5(term: t.Parallel) -> t.ProcessTerm:
@@ -513,17 +522,17 @@ class ProveReport:
     normal_right: t.ProcessTerm
     trace_left: tuple[RewriteStep, ...]
     trace_right: tuple[RewriteStep, ...]
-    decider_equivalent: bool | None = None
+    decider_equivalent: bool
 
     @property
     def completeness_gap(self) -> bool:
-        return not self.proved and bool(self.decider_equivalent)
+        return not self.proved and self.decider_equivalent
 
 
 def axiom_prove(
     p1: t.ProcessTerm,
     p2: t.ProcessTerm,
-    consult_decider: bool = True,
+    *,
     state_bound: int = 10000,
 ) -> ProveReport:
     """Prove p1 = p2 by comparing normal forms; on failure consult the
@@ -532,9 +541,5 @@ def axiom_prove(
     n1, trace1 = normalize_with_trace(p1, state_bound)
     n2, trace2 = normalize_with_trace(p2, state_bound)
     proved = n1 == n2
-    decided: bool | None = True if proved else None
-    if not proved and consult_decider:
-        from .decider import decide_equiv
-
-        decided = decide_equiv(p1, p2, state_bound, with_test_witness=False).equivalent
+    decided = proved or decide_equiv(p1, p2, state_bound, with_test_witness=False).equivalent
     return ProveReport(proved, n1, n2, tuple(trace1), tuple(trace2), decided)

@@ -20,7 +20,7 @@ from random import Random
 from typing import Sequence
 
 from . import terms as t
-from .axioms import LAW_IDS, RewriteStep, apply_law, replace_at, subterm_at
+from .axioms import LAW_IDS, RewriteStep, a4_merge, apply_law, replace_at, subterm_at
 from .errors import CalcError, LawError
 from .semantics import build_lts
 
@@ -235,21 +235,6 @@ def a4_instance(rng: Random, names: Sequence[str] = ("a", "b")) -> t.ProcessTerm
     raise GenerationError("no A4 instance found")
 
 
-def _a4_merge_anyway(term: t.ProcessTerm) -> t.ProcessTerm:
-    # The law's right-hand side without the side condition; used only to
-    # manufacture expected-inequivalent pairs.
-    branches = t.summand_list(term)
-    total = sum((b.rate.value for b in branches), Fraction(0))
-    inner = []
-    for b in branches:
-        share = b.rate.value / total
-        if b.body == t.NIL:
-            continue
-        for p in t.summand_list(b.body):
-            inner.append(t.Prefix(p.name, t.Rate(share * p.rate.value), p.body))
-    return t.Prefix(branches[0].name, t.Rate(total), t.nest_right(inner))
-
-
 def a4_violation(rng: Random, names: Sequence[str] = ("a", "b")
                  ) -> tuple[t.ProcessTerm, t.ProcessTerm]:
     """A perturbed instance paired with its merged form.
@@ -273,7 +258,7 @@ def a4_violation(rng: Random, names: Sequence[str] = ("a", "b")
             apply_law(lhs, RewriteStep("A4"))
         except LawError:
             if _analyzable(lhs, 64):
-                return lhs, _a4_merge_anyway(lhs)
+                return lhs, a4_merge(t.summand_list(lhs))
     raise GenerationError("no A4 violation found")
 
 

@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from . import terms as t
 from .errors import NotPerformanceClosed
+from .oracle import environment_tests, search_witness
 from .semantics import LMTS, build_lts
 
 Vector = tuple[Fraction, ...]
@@ -190,8 +191,9 @@ def decide_equiv(
     """Decide testing equivalence of two performance-closed processes.
 
     On inequivalence the label-word witness is translated into a concrete
-    distinguishing (canonical test, theta) pair through the bounded oracle
-    whenever the word is short enough for the oracle's default depth.
+    distinguishing (canonical test, theta) pair by the oracle's test
+    search, run on the two LMTSs built here, whenever the word is short
+    enough for the search depth.
     """
     lts1 = build_lts(p1, state_bound)
     lts2 = build_lts(p2, state_bound)
@@ -210,12 +212,11 @@ def decide_equiv(
     witness_test = None
     witness_theta = None
     if with_test_witness:
-        from .oracle import bounded_testing_oracle
-
         word = report.witness_word or ()
         depth = max(1, min(len(word), 4))
         max_len = max(1, min(len(word), 6))
-        verdict = bounded_testing_oracle(p1, p2, depth=depth, max_len=max_len)
+        tests = environment_tests(lts1, lts2, depth)
+        verdict = search_witness(lts1, lts2, tests, max_len)
         if not verdict.equivalent:
             witness_test = verdict.witness_test
             witness_theta = verdict.witness_theta

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses as d
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product as cartesian
 from typing import Iterable, Sequence
 
@@ -48,6 +47,7 @@ class Formula:
 
 class _True(Formula):
     __slots__ = ()
+    initial: frozenset[str] = frozenset()
 
     def __repr__(self) -> str:
         return "TRUE"
@@ -68,12 +68,14 @@ def _head(formula: Formula) -> str:
 class Diamond(Formula):
     name: str
     body: Formula
+    initial: frozenset[str] = d.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.name == t.TAU:
             raise NotWellFormed("diamond actions must be visible")
         if not isinstance(self.body, Formula):
             raise NotWellFormed(f"not a formula: {self.body!r}")
+        object.__setattr__(self, "initial", frozenset((self.name,)))
 
     def __str__(self) -> str:
         return f"<{self.name}>{_head(self.body)}"
@@ -83,6 +85,7 @@ class Diamond(Formula):
 class Or(Formula):
     left: Formula
     right: Formula
+    initial: frozenset[str] = d.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for side in (self.left, self.right):
@@ -90,25 +93,23 @@ class Or(Formula):
                 raise NotWellFormed(f"not a formula: {side!r}")
             if isinstance(side, _True):
                 raise NotWellFormed("true cannot be a disjunct")
-        if init(self.left) & init(self.right):
+        left, right = init(self.left), init(self.right)
+        if left & right:
             raise NotWellFormed(
                 "disjuncts must have disjoint initial action sets")
+        object.__setattr__(self, "initial", left | right)
 
     def __str__(self) -> str:
         left = f"({self.left})" if isinstance(self.left, Or) else str(self.left)
         return f"{left} \\/ {self.right}"
 
 
-@lru_cache(maxsize=None)
 def init(formula: Formula) -> frozenset[str]:
-    """Initial visible actions of a formula."""
-    if isinstance(formula, _True):
-        return frozenset()
-    if isinstance(formula, Diamond):
-        return frozenset((formula.name,))
-    if isinstance(formula, Or):
-        return init(formula.left) | init(formula.right)
-    raise NotWellFormed(f"not a formula: {formula!r}")
+    """Initial visible actions of a formula, computed when its node was
+    built."""
+    if not isinstance(formula, (_True, Diamond, Or)):
+        raise NotWellFormed(f"not a formula: {formula!r}")
+    return formula.initial
 
 
 def depth(formula: Formula) -> int:

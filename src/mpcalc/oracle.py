@@ -14,6 +14,10 @@ the product of the process LMTS with the test's syntax tree that
 prob_pass also runs on, instead of composing interaction terms.  The
 slower term-level route in the testing module is kept as the reference
 and the two are cross-checked in the test suite.
+
+search_witness is the one test loop.  The oracles run it on the LMTSs
+they build from the terms; the decider runs it on the LMTSs it decided
+on, to turn an inequivalence into a distinguishing (test, theta) pair.
 """
 
 from __future__ import annotations
@@ -162,37 +166,17 @@ def _tau_variants(base: list[Test], rate_value: Fraction = Fraction(1)) -> list[
     return out
 
 
-def _environment(lts1: LMTS, lts2: LMTS) -> list[str]:
-    return sorted(lts1.visible_names() | lts2.visible_names())
+def environment_tests(lts1: LMTS, lts2: LMTS, depth: int) -> list[Test]:
+    """Canonical reactive tests up to the given depth over the names
+    visible in either process."""
+    return canonical_tests(sorted(lts1.visible_names() | lts2.visible_names()), depth)
 
 
-def bounded_testing_oracle(
-    p1: t.ProcessTerm,
-    p2: t.ProcessTerm,
-    depth: int = 4,
-    names=None,
-    flavor: str = "reactive",
-    max_len: int | None = None,
-    state_bound: int = 10000,
-) -> OracleVerdict:
-    """Compare passing probabilities over all generated tests of the given
-    flavor, at every computation length up to max_len (default: depth) and
-    every bound sequence.  Sound up to the bounds; a returned witness is a
-    genuine distinguishing (test, theta) pair."""
-    lts1 = build_lts(p1, state_bound)
-    lts2 = build_lts(p2, state_bound)
-    if max_len is None:
-        max_len = depth
-    universe = _environment(lts1, lts2) if names is None else sorted(set(names))
-    base = canonical_tests(universe, depth) if universe else canonical_tests([], 0)
-    if flavor == "reactive":
-        tests = base
-    elif flavor == "liberal":
-        tests = _liberal_variants(base)
-    elif flavor == "tau":
-        tests = _tau_variants(base)
-    else:
-        raise ValueError(f"unknown test flavor {flavor!r}")
+def search_witness(lts1: LMTS, lts2: LMTS, tests: list[Test], max_len: int) -> OracleVerdict:
+    """Run the tests in order against both processes and return the first
+    one whose successful-computation measures differ at some length up to
+    max_len, with a minimal differing vector of the shortest such length
+    as theta."""
     for i, test in enumerate(tests):
         m1 = successful_measures(lts1, test, max_len)
         m2 = successful_measures(lts2, test, max_len)
@@ -210,11 +194,43 @@ def bounded_testing_oracle(
     return OracleVerdict(equivalent=True, tests_checked=len(tests))
 
 
+def _setup(
+    p1: t.ProcessTerm, p2: t.ProcessTerm, depth: int, state_bound: int
+) -> tuple[LMTS, LMTS, list[Test]]:
+    lts1 = build_lts(p1, state_bound)
+    lts2 = build_lts(p2, state_bound)
+    return lts1, lts2, environment_tests(lts1, lts2, depth)
+
+
+def bounded_testing_oracle(
+    p1: t.ProcessTerm,
+    p2: t.ProcessTerm,
+    depth: int = 4,
+    *,
+    flavor: str = "reactive",
+    state_bound: int = 10000,
+) -> OracleVerdict:
+    """Compare passing probabilities over all generated tests of the given
+    flavor, at every computation length up to depth and every bound
+    sequence.  Sound up to the bounds; a returned witness is a genuine
+    distinguishing (test, theta) pair."""
+    lts1, lts2, base = _setup(p1, p2, depth, state_bound)
+    if flavor == "reactive":
+        tests = base
+    elif flavor == "liberal":
+        tests = _liberal_variants(base)
+    elif flavor == "tau":
+        tests = _tau_variants(base)
+    else:
+        raise ValueError(f"unknown test flavor {flavor!r}")
+    return search_witness(lts1, lts2, tests, depth)
+
+
 def old_style_oracle(
     p1: t.ProcessTerm,
     p2: t.ProcessTerm,
     depth: int = 2,
-    names=None,
+    *,
     state_bound: int = 10000,
 ) -> OracleVerdict:
     """Length-free comparison: cumulative probability of all successful
@@ -223,10 +239,7 @@ def old_style_oracle(
     are maximal.  Evaluated by direct sweep over a breakpoint grid
     (observed sojourn values, midpoints, one value above the maximum) as an
     independent check of the grouped-measure path."""
-    lts1 = build_lts(p1, state_bound)
-    lts2 = build_lts(p2, state_bound)
-    universe = _environment(lts1, lts2) if names is None else sorted(set(names))
-    tests = canonical_tests(universe, depth) if universe else canonical_tests([], 0)
+    lts1, lts2, tests = _setup(p1, p2, depth, state_bound)
 
     def cumulative(measures: list[Measure], theta: Vector) -> Fraction:
         total = Fraction(0)

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import terms as t
-from .computations import Computation, Theta
+from .computations import Computation, Theta, enumerate_computations
 from .errors import NotPerformanceClosed, NotWellFormed
 from .parser import parse_test_body
 from .semantics import LMTS, build_lts
@@ -126,22 +126,12 @@ def successful_computations(
     """Computations of the interaction, up to max_len steps, that traverse a
     successful configuration."""
     lts = interaction_lts(process, test, state_bound=state_bound)
-    successful = {
-        i for i, state in enumerate(lts.states) if is_successful_projection(_projection(state))
-    }
-    out: list[Computation] = []
-
-    def extend(computation: Computation, index: int, seen: bool, budget: int) -> None:
-        seen = seen or index in successful
-        if seen:
-            out.append(computation)
-        if budget == 0:
-            return
-        for step in lts.outgoing[index]:
-            extend(computation.extended(step), lts.index[step.target], seen, budget - 1)
-
-    extend(Computation(lts.root, ()), 0, False, max_len)
-    return out
+    successful = {state for state in lts.states if is_successful_projection(_projection(state))}
+    return [
+        computation
+        for computation in enumerate_computations(lts, max_len)
+        if any(state in successful for state in computation.traversed())
+    ]
 
 
 @d.dataclass(frozen=True)

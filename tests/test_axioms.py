@@ -129,7 +129,7 @@ def test_proved_pairs_are_equivalent(seed):
     rng = Random(seed)
     left = random_term(rng, depth=3, max_states=10)
     right = random_term(rng, depth=3, max_states=10)
-    report = axiom_prove(left, right, consult_decider=False)
+    report = axiom_prove(left, right)
     assert _replay(left, report.trace_left) == report.normal_left
     assert _replay(right, report.trace_right) == report.normal_right
     if report.proved:

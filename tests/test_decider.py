@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from mpcalc import decider, oracle
 from mpcalc.corpus import chain_pair, random_pairs, random_term
 from mpcalc.decider import (AugmentedLabel, decide_equiv, embed,
                             prob_language_equiv)
@@ -92,6 +93,25 @@ def test_witness_translation_to_test_and_theta():
     theta = verdict.witness_theta
     assert prob_pass(left, verdict.witness_test, theta) != prob_pass(
         right, verdict.witness_test, theta)
+
+
+def test_witness_search_runs_on_the_decided_lmts(monkeypatch):
+    # Each side is built once, within the caller's bound.
+    built = []
+
+    def counting_build_lts(term, state_bound=10000, **kwargs):
+        built.append((term, state_bound))
+        return build_lts(term, state_bound, **kwargs)
+
+    for module in (decider, oracle):
+        monkeypatch.setattr(module, "build_lts", counting_build_lts)
+    left, right = parse_term("<a,1>.0"), parse_term("<a,2>.0")
+    verdict = decide_equiv(left, right, state_bound=2)
+    assert built == [(left, 2), (right, 2)]
+    reference = oracle.bounded_testing_oracle(left, right, depth=1)
+    assert verdict.witness_test is not None
+    assert verdict.witness_test == reference.witness_test
+    assert verdict.witness_theta == reference.witness_theta
 
 
 def test_basis_never_exceeds_state_count_sum():
