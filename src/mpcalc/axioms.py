@@ -396,34 +396,17 @@ def _sort_key(term: t.ProcessTerm):
     return (0,)
 
 
-def _group_key(part: t.Prefix):
-    body_map = tuple(sorted(_cumulative_or_none(part.body).items()))
-    return (part.name, body_map)
-
-
-def _cumulative_or_none(body: t.ProcessTerm) -> dict[str, Fraction]:
-    try:
-        return _cumulative(body, "A4")
-    except LawError:
-        return {"?unmergeable?": Fraction(0)}
-
-
 def _mergeable(parts: list[t.ProcessTerm]) -> dict[tuple, list[int]]:
     """Indices of exponential prefix summands grouped by A4's side
-    condition; only groups of two or more can be merged."""
+    condition; only groups of two or more can be merged.  Performance
+    closure is checked before expansion, so every body here is nil or a
+    sum of exponential prefixes."""
     groups: dict[tuple, list[int]] = {}
     for i, p in enumerate(parts):
         if isinstance(p, t.Prefix) and not p.rate.passive:
-            if not _has_passive_top(p.body):
-                groups.setdefault(_group_key(p), []).append(i)
+            key = (p.name, tuple(sorted(_cumulative(p.body, "A4").items())))
+            groups.setdefault(key, []).append(i)
     return {k: v for k, v in groups.items() if len(v) >= 2}
-
-
-def _has_passive_top(body: t.ProcessTerm) -> bool:
-    if body == t.NIL:
-        return False
-    parts = t.summand_list(body)
-    return any(not isinstance(p, t.Prefix) or p.rate.passive for p in parts)
 
 
 def _flatten(term: t.ProcessTerm, pos: Path | None, steps) -> list[t.ProcessTerm]:

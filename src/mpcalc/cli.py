@@ -196,7 +196,7 @@ def _cmd_prove(args, out: _Output) -> int:
 
 def _cmd_gen_tests(args, out: _Output) -> int:
     names = [n for n in args.environment.split(",") if n]
-    tests = canonical_tests(names, args.depth)
+    tests = list(canonical_tests(names, args.depth))
     for test in tests:
         out.say(str(test))
     out.result = {"count": len(tests), "tests": [str(x) for x in tests]}
@@ -212,6 +212,10 @@ def _check_pair(payload: tuple[str, str, int]) -> bool:
 def _cmd_corpus(args, out: _Output) -> int:
     rng = Random(args.seed)
     names = tuple(n for n in args.names.split(",") if n)
+    if t.TAU in names or t.FAILURE_NAME in names:
+        raise CalcError(f"--names must be visible names other than {t.FAILURE_NAME}")
+    if not names and args.tau_free:
+        raise CalcError("--tau-free needs at least one name in --names")
     if args.pairs:
         samples = random_pairs(rng, args.count, names=names, depth=args.depth,
                                max_states=args.max_states, tau=not args.tau_free)

@@ -23,13 +23,14 @@ on, to turn an inequivalence into a distinguishing (test, theta) pair.
 from __future__ import annotations
 
 import dataclasses as d
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import product as cartesian
 
 from . import terms as t
 from .computations import breakpoint_grid
 from .semantics import LMTS, build_lts
-from .testing import InteractionProduct, Test, canonical_tests, make_test
+from .testing import InteractionProduct, Test, canonical_tests, flavored_tests
 
 Vector = tuple[Fraction, ...]
 Measure = dict[Vector, Fraction]
@@ -104,80 +105,19 @@ class OracleVerdict:
         return self.equivalent
 
 
-def _liberal_variants(base: list[Test]) -> list[Test]:
-    """Adjoin the success state as an extra summand at each node along the
-    success path, one node at a time."""
-    seen: dict[t.ProcessTerm, None] = {}
-    out: list[Test] = []
-
-    def add(term: t.ProcessTerm) -> None:
-        if term not in seen:
-            seen[term] = None
-            out.append(make_test(term, "liberal"))
-
-    def decorations(term: t.ProcessTerm):
-        if isinstance(term, t.Success):
-            return
-        yield t.nest_right(t.summand_list(term) + [t.SUCCESS])
-        for i, part in enumerate(t.summand_list(term)):
-            if isinstance(part, t.Prefix) and part.name != t.FAILURE_NAME:
-                for body in decorations(part.body):
-                    parts = t.summand_list(term)
-                    parts[i] = t.Prefix(part.name, part.rate, body)
-                    yield t.nest_right(parts)
-
-    for test in base:
-        add(test.term)
-        for variant in decorations(test.term):
-            add(variant)
-    return out
-
-
-def _tau_variants(base: list[Test], rate_value: Fraction = Fraction(1)) -> list[Test]:
-    """Insert one exponentially timed tau step before a non-success node of
-    the success path."""
-    rate = t.Rate(rate_value)
-    seen: dict[t.ProcessTerm, None] = {}
-    out: list[Test] = []
-
-    def add(term: t.ProcessTerm) -> None:
-        if term not in seen:
-            seen[term] = None
-            out.append(make_test(term, "tau"))
-
-    def insertions(term: t.ProcessTerm):
-        if not isinstance(term, t.Success):
-            yield t.Prefix(t.TAU, rate, term)
-        for i, part in enumerate(t.summand_list(term)):
-            if (
-                isinstance(part, t.Prefix)
-                and part.name != t.FAILURE_NAME
-                and part.name != t.TAU
-            ):
-                for body in insertions(part.body):
-                    parts = t.summand_list(term)
-                    parts[i] = t.Prefix(part.name, part.rate, body)
-                    yield t.nest_right(parts)
-
-    for test in base:
-        add(test.term)
-        for variant in insertions(test.term):
-            add(variant)
-    return out
-
-
-def environment_tests(lts1: LMTS, lts2: LMTS, depth: int) -> list[Test]:
+def environment_tests(lts1: LMTS, lts2: LMTS, depth: int) -> Iterator[Test]:
     """Canonical reactive tests up to the given depth over the names
     visible in either process."""
     return canonical_tests(sorted(lts1.visible_names() | lts2.visible_names()), depth)
 
 
-def search_witness(lts1: LMTS, lts2: LMTS, tests: list[Test], max_len: int) -> OracleVerdict:
+def search_witness(lts1: LMTS, lts2: LMTS, tests: Iterable[Test], max_len: int) -> OracleVerdict:
     """Run the tests in order against both processes and return the first
     one whose successful-computation measures differ at some length up to
     max_len, with a minimal differing vector of the shortest such length
-    as theta."""
-    for i, test in enumerate(tests):
+    as theta.  tests_checked counts the tests taken from the iterable."""
+    checked = 0
+    for checked, test in enumerate(tests, 1):
         m1 = successful_measures(lts1, test, max_len)
         m2 = successful_measures(lts2, test, max_len)
         for length in range(max_len + 1):
@@ -189,14 +129,14 @@ def search_witness(lts1: LMTS, lts2: LMTS, tests: list[Test], max_len: int) -> O
                     witness_theta=theta,
                     prob_left=passing_probability(m1, theta),
                     prob_right=passing_probability(m2, theta),
-                    tests_checked=i + 1,
+                    tests_checked=checked,
                 )
-    return OracleVerdict(equivalent=True, tests_checked=len(tests))
+    return OracleVerdict(equivalent=True, tests_checked=checked)
 
 
 def _setup(
     p1: t.ProcessTerm, p2: t.ProcessTerm, depth: int, state_bound: int
-) -> tuple[LMTS, LMTS, list[Test]]:
+) -> tuple[LMTS, LMTS, Iterator[Test]]:
     lts1 = build_lts(p1, state_bound)
     lts2 = build_lts(p2, state_bound)
     return lts1, lts2, environment_tests(lts1, lts2, depth)
@@ -215,15 +155,7 @@ def bounded_testing_oracle(
     sequence.  Sound up to the bounds; a returned witness is a genuine
     distinguishing (test, theta) pair."""
     lts1, lts2, base = _setup(p1, p2, depth, state_bound)
-    if flavor == "reactive":
-        tests = base
-    elif flavor == "liberal":
-        tests = _liberal_variants(base)
-    elif flavor == "tau":
-        tests = _tau_variants(base)
-    else:
-        raise ValueError(f"unknown test flavor {flavor!r}")
-    return search_witness(lts1, lts2, tests, depth)
+    return search_witness(lts1, lts2, flavored_tests(base, flavor), depth)
 
 
 def old_style_oracle(
@@ -249,7 +181,8 @@ def old_style_oracle(
                     total += mass
         return total
 
-    for i, test in enumerate(tests):
+    checked = 0
+    for checked, test in enumerate(tests, 1):
         m1 = successful_measures(lts1, test, depth)
         m2 = successful_measures(lts2, test, depth)
         position_values: list[list[Fraction]] = [[] for _ in range(depth)]
@@ -270,6 +203,6 @@ def old_style_oracle(
                         witness_theta=theta,
                         prob_left=left,
                         prob_right=right,
-                        tests_checked=i + 1,
+                        tests_checked=checked,
                     )
-    return OracleVerdict(equivalent=True, tests_checked=len(tests))
+    return OracleVerdict(equivalent=True, tests_checked=checked)

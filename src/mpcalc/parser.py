@@ -175,19 +175,22 @@ class _TermParser:
                 return term
 
     def _renames(self) -> tuple[tuple[str, str], ...]:
-        pairs: list[tuple[str, str]] = []
+        targets: dict[str, str] = {}
         if not self.stream.check("]"):
             while True:
+                start = self.stream.current
                 old = self.stream.ident()
                 self.stream.expect("->")
                 new = self.stream.ident()
                 if t.TAU in (old, new):
                     raise self.stream.error("relabeling must keep tau fixed")
-                pairs.append((old, new))
+                if targets.setdefault(old, new) != new:
+                    raise ParseError(f"{old} is relabeled to both {targets[old]} and {new}",
+                                     start.line, start.column)
                 if not self.stream.accept(","):
                     break
         self.stream.expect("]")
-        return tuple(pairs)
+        return tuple(targets.items())
 
     def prefixed(self) -> t.ProcessTerm:
         if self.stream.accept("<"):

@@ -16,7 +16,6 @@ norm(w1, w2, a, P, Q) = (w1/weight(P,a)) * (w2/weight(Q,a))
 from __future__ import annotations
 
 import dataclasses as d
-import json
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -268,7 +267,3 @@ def export_dot(lts: LMTS) -> str:
         )
     lines.append("}")
     return "\n".join(lines)
-
-
-def export_json_text(lts: LMTS, annotate_rates: bool = False) -> str:
-    return json.dumps(export_json(lts, annotate_rates=annotate_rates), indent=2)

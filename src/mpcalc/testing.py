@@ -15,10 +15,12 @@ projection is exactly s).  A computation is successful when it traverses
 a successful configuration anywhere, origin included; computations may
 extend past success, which matters for timed silent moves.
 
-This module owns the interaction product: InteractionProduct steps a
-process LMTS and a test's syntax tree together, and both prob_pass (one
-forward pass, pruned by theta) and the oracle's successful_measures run
-on it.
+This module makes the tests: canonical_tests builds the canonical
+reactive tests as they are consumed, and flavored_tests turns them into
+their liberal or tau variants.  It also owns the interaction product:
+InteractionProduct steps a process LMTS and a test's syntax tree
+together, and both prob_pass (one forward pass, pruned by theta) and the
+oracle's successful_measures run on it.
 The term-level route (interaction, interaction_lts,
 successful_computations, then computations.prob_set) composes the
 interaction term and enumerates its computations one by one; it follows
@@ -29,12 +31,13 @@ compares against.
 from __future__ import annotations
 
 import dataclasses as d
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import terms as t
 from .computations import Computation, Theta, enumerate_computations
-from .errors import NotPerformanceClosed, NotWellFormed
+from .errors import NotPerformanceClosed, NotWellFormed, ReservedNameError
 from .parser import parse_test_body
 from .semantics import LMTS, build_lts
 
@@ -270,29 +273,77 @@ def _canonical_step(environment: frozenset[str], name: str, continuation: t.Proc
     return t.nest_right(summands)
 
 
-def canonical_tests(names, depth: int) -> list[Test]:
-    """Name-deterministic tests with one success path of length <= depth.
+def canonical_tests(names, depth: int) -> Iterator[Test]:
+    """Name-deterministic tests with one success path of length <= depth,
+    shortest first, each built when it is consumed.
 
     Each step picks a permitted environment set and the single name that
     continues towards success; every other permitted name fails in one
-    step through the reserved name z.
+    step through the reserved name z.  Each layer is kept as the
+    continuations of the next.
     """
     universe = sorted(set(names))
     if t.TAU in universe or t.FAILURE_NAME in universe:
-        raise ValueError("environment names must be visible and distinct from z")
+        raise ReservedNameError("environment names must be visible and distinct from z")
     environments = [
         frozenset(combination)
         for size in range(1, len(universe) + 1)
         for combination in combinations(universe, size)
     ]
-    layer: list[t.ProcessTerm] = [t.SUCCESS]
-    collected: list[t.ProcessTerm] = [t.SUCCESS]
-    for _ in range(depth):
-        layer = [
-            _canonical_step(environment, name, continuation)
-            for environment in environments
-            for name in sorted(environment)
-            for continuation in layer
-        ]
-        collected.extend(layer)
-    return [Test(term, "reactive") for term in collected]
+
+    def layers() -> Iterator[Test]:
+        yield Test(t.SUCCESS, "reactive")
+        layer = [t.SUCCESS]
+        for level in range(1, depth + 1):
+            previous, layer = layer, []
+            for environment in environments:
+                for name in sorted(environment):
+                    for continuation in previous:
+                        term = _canonical_step(environment, name, continuation)
+                        if level < depth:
+                            layer.append(term)
+                        yield Test(term, "reactive")
+
+    return layers()
+
+
+_EDITS = {
+    "liberal": lambda node: t.nest_right(t.summand_list(node) + [t.SUCCESS]),
+    "tau": lambda node: t.Prefix(t.TAU, t.Rate(Fraction(1)), node),
+}
+
+
+def _edited(term: t.ProcessTerm, edit) -> Iterator[t.ProcessTerm]:
+    """term with edit applied at one node at a time, in pre-order over
+    the nodes other than s reached through visible names other than z:
+    the success path and the first step of each failure branch."""
+    if isinstance(term, t.Success):
+        return
+    yield edit(term)
+    parts = t.summand_list(term)
+    for i, part in enumerate(parts):
+        if isinstance(part, t.Prefix) and part.name != t.FAILURE_NAME:
+            for body in _edited(part.body, edit):
+                yield t.nest_right(parts[:i] + [t.Prefix(part.name, part.rate, body)] + parts[i + 1:])
+
+
+def flavored_tests(base: Iterable[Test], flavor: str) -> Iterable[Test]:
+    """The reactive base tests in the given flavor.  Reactive tests are
+    the base itself.  Liberal tests adjoin s as an extra summand, tau
+    tests put a <tau,1> step first, at one node at a time: each base test
+    is followed by its variants, and repeats are skipped."""
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown test flavor {flavor!r}")
+    if flavor == "reactive":
+        return base
+    edit = _EDITS[flavor]
+
+    def variants() -> Iterator[Test]:
+        seen: set[t.ProcessTerm] = set()
+        for test in base:
+            for term in chain((test.term,), _edited(test.term, edit)):
+                if term not in seen:
+                    seen.add(term)
+                    yield make_test(term, flavor)
+
+    return variants()

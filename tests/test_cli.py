@@ -174,6 +174,31 @@ def test_corpus_jobs_are_capped_at_the_cpu_count(capsys, monkeypatch):
     assert code == 0 and sizes == [3]
 
 
+def test_conflicting_relabeling_exits_two(capsys):
+    term = "<a,1>.0[a->b,a->c]"
+    for argv in (("parse", term), ("lts", term), ("check-equiv", "-p1", term, "-p2", "0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "relabeled to both" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-tests", "-E", "a,tau"),
+    ("gen-tests", "-E", "z"),
+    ("corpus", "--count", "30", "--names", "a,tau"),
+    ("corpus", "--count", "30", "--names", "z"),
+    ("corpus", "--names", "", "--tau-free"),
+], ids=["gen-tests-tau", "gen-tests-z", "corpus-tau", "corpus-z", "corpus-empty-tau-free"])
+def test_reserved_or_missing_names_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_corpus_of_tau_moves_needs_no_names(capsys):
+    code, out, _ = run(capsys, "corpus", "--names", "", "--count", "2")
+    assert code == 0 and len(out.splitlines()) == 2
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["unknown-command"])

@@ -3,6 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpcalc.corpus import random_pairs, random_term
@@ -45,7 +46,7 @@ def test_grouped_measures_match_direct_evaluation(seed):
     # the oracle's per-length measure groups must reproduce prob_pass exactly
     rng = Random(seed)
     process = random_term(rng, depth=3, max_states=10)
-    tests = canonical_tests(["a", "b"], 2)
+    tests = list(canonical_tests(["a", "b"], 2))
     test = tests[rng.randrange(len(tests))]
     theta = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9))
                   for _ in range(rng.randint(0, 2)))
@@ -71,3 +72,8 @@ def test_flavors_agree():
         liberal = bounded_testing_oracle(sample.left, sample.right, depth=3, flavor="liberal")
         timed = bounded_testing_oracle(sample.left, sample.right, depth=3, flavor="tau")
         assert reactive.equivalent == liberal.equivalent == timed.equivalent
+
+
+def test_unknown_flavor_is_rejected():
+    with pytest.raises(ValueError):
+        bounded_testing_oracle(parse_term("<a,1>.0"), parse_term("<a,2>.0"), flavor="bogus")

@@ -37,6 +37,12 @@ def test_static_operators():
     assert term.mapping == (("b", "c"),)
 
 
+def test_conflicting_relabeling_is_a_parse_error():
+    assert parse_term("<a,1>.0[a->b,a->b]").mapping == (("a", "b"),)
+    with pytest.raises(ParseError, match=r"a is relabeled to both b and c at 1:14"):
+        parse_term("<a,1>.0[a->b,a->c]")
+
+
 def test_recursion_syntax():
     term = parse_term("rec X : <a,1>.X")
     assert isinstance(term, t.Rec)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -9,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 from mpcalc import terms as t
 from mpcalc.computations import filter_le_theta, filter_len, prob_set
 from mpcalc.corpus import random_term
-from mpcalc.errors import NotPerformanceClosed, NotWellFormed
-from mpcalc.oracle import (_liberal_variants, _tau_variants,
-                           passing_probability, successful_measures)
+from mpcalc.errors import NotPerformanceClosed, NotWellFormed, ReservedNameError
+from mpcalc import testing
+from mpcalc.oracle import passing_probability, successful_measures
 from mpcalc.parser import parse_term, parse_test_body
 from mpcalc.semantics import build_lts, derive_transitions
-from mpcalc.testing import (canonical_tests, interaction, make_test,
+from mpcalc.testing import (canonical_tests, flavored_tests, interaction, make_test,
                             parse_test, prob_pass, successful_computations)
 
 
@@ -106,8 +107,8 @@ def test_prob_pass_z_branch_keeps_competition():
 
 def test_canonical_test_counts():
     # counting recurrence: 1 + (sum over nonempty E' of |E'|) * previous
-    assert [len(canonical_tests(["a"], d)) for d in range(5)] == [1, 2, 3, 4, 5]
-    assert [len(canonical_tests(["a", "b"], d)) for d in range(5)] == [1, 5, 21, 85, 341]
+    assert [len(list(canonical_tests(["a"], d))) for d in range(5)] == [1, 2, 3, 4, 5]
+    assert [len(list(canonical_tests(["a", "b"], d))) for d in range(5)] == [1, 5, 21, 85, 341]
     assert [str(x.term) for x in canonical_tests(["a"], 1)] == ["s", "<a,*1>.s"]
 
 
@@ -117,8 +118,41 @@ def test_canonical_tests_shapes():
     assert "s" in rendered
     assert "<a,*1>.s + <b,*1>.<z,*1>.s" in rendered
     # every canonical test parses in the reactive grammar
-    for x in tests:
+    for x in canonical_tests(["a", "b"], 1):
         assert parse_test(str(x.term)).term == x.term
+
+
+def test_canonical_tests_are_built_as_they_are_consumed(monkeypatch):
+    calls = []
+    step = testing._canonical_step
+    monkeypatch.setattr(testing, "_canonical_step", lambda *args: calls.append(args) or step(*args))
+    tests = canonical_tests(["a", "b"], 4)
+    first = [next(tests) for _ in range(6)]
+    # s, the four depth-1 tests, and the first depth-2 test
+    assert len(calls) == 5
+    assert [str(x) for x in first[:2]] == ["s", "<a,*1>.s"]
+
+
+def test_canonical_tests_reject_reserved_names():
+    for names in (["a", "tau"], ["z"]):
+        with pytest.raises(ReservedNameError):
+            canonical_tests(names, 1)
+
+
+def _digest(tests):
+    return hashlib.sha1("\n".join(f"{x.flavor} {x}" for x in tests).encode()).hexdigest()[:12]
+
+
+def test_flavored_tests_pin_the_liberal_and_tau_variants():
+    base = list(canonical_tests(["a", "b"], 2))
+    assert list(flavored_tests(base, "reactive")) == base
+    liberal = list(flavored_tests(base, "liberal"))
+    timed = list(flavored_tests(base, "tau"))
+    assert (len(liberal), _digest(liberal)) == (75, "d8930b84f696")
+    assert (len(timed), _digest(timed)) == (75, "4759c3df1e79")
+    assert "liberal <a,*1>.s + <b,*1>.(<z,*1>.s + s)" in {f"{x.flavor} {x}" for x in liberal}
+    with pytest.raises(ValueError):
+        flavored_tests(base, "bogus")
 
 
 @settings(max_examples=40, deadline=None)
@@ -126,7 +160,7 @@ def test_canonical_tests_shapes():
 def test_prob_pass_monotone_in_theta(seed):
     rng = Random(seed)
     process = random_term(rng, depth=3, max_states=12)
-    tests = canonical_tests(["a", "b"], 2)
+    tests = list(canonical_tests(["a", "b"], 2))
     test = tests[rng.randrange(len(tests))]
     theta = tuple(Fraction(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(2))
     wider = tuple(v + Fraction(rng.randint(0, 3), 4) for v in theta)
@@ -153,8 +187,8 @@ def _term_level_prob_pass(process, test, theta):
         filter_len(successful_computations(process, test, n), n), theta))
 
 
-_REACTIVE = canonical_tests(["a", "b"], 2)
-_TEST_FAMILIES = (_REACTIVE, _liberal_variants(_REACTIVE), _tau_variants(_REACTIVE))
+_REACTIVE = list(canonical_tests(["a", "b"], 2))
+_TEST_FAMILIES = tuple(list(flavored_tests(_REACTIVE, flavor)) for flavor in testing.FLAVORS)
 
 
 @settings(max_examples=150, deadline=None)
