@@ -50,24 +50,6 @@ class RewriteStep:
         return f"{self.law} {arrow} at {where}{extra}"
 
 
-def _with_child(term: t.ProcessTerm, i: int, child: t.ProcessTerm) -> t.ProcessTerm:
-    if isinstance(term, t.Prefix) and i == 0:
-        return t.Prefix(term.name, term.rate, child)
-    if isinstance(term, t.Choice) and i in (0, 1):
-        return t.Choice(child, term.right) if i == 0 else t.Choice(term.left, child)
-    if isinstance(term, t.Parallel) and i in (0, 1):
-        if i == 0:
-            return t.Parallel(term.sync, child, term.right)
-        return t.Parallel(term.sync, term.left, child)
-    if isinstance(term, t.Hide) and i == 0:
-        return t.Hide(term.hidden, child)
-    if isinstance(term, t.Relabel) and i == 0:
-        return t.Relabel(term.mapping, child)
-    if isinstance(term, t.Rec) and i == 0:
-        return t.Rec(term.var, child)
-    raise LawError(f"no child {i} in {type(term).__name__}")
-
-
 def subterm_at(term: t.ProcessTerm, position: Path) -> t.ProcessTerm:
     for i in position:
         kids = t.children(term)
@@ -81,10 +63,11 @@ def replace_at(term: t.ProcessTerm, position: Path, new: t.ProcessTerm) -> t.Pro
     if not position:
         return new
     head = position[0]
-    kids = t.children(term)
+    kids = list(t.children(term))
     if head >= len(kids):
         raise LawError(f"position {position} does not exist")
-    return _with_child(term, head, replace_at(kids[head], position[1:], new))
+    kids[head] = replace_at(kids[head], position[1:], new)
+    return t.with_children(term, kids)
 
 
 def _prefix_sum(term: t.ProcessTerm, law: str) -> list[t.Prefix]:
@@ -338,7 +321,7 @@ def _expand(x: t.ProcessTerm, pos: Path | None, steps) -> t.ProcessTerm:
         right = _expand(x.right, _at(pos, 1), steps)
         return _eliminate(t.Parallel(x.sync, left, right), pos, steps)
     if isinstance(x, (t.Hide, t.Relabel)):
-        return _eliminate(_with_child(x, 0, _expand(x.body, _at(pos, 0), steps)), pos, steps)
+        return _eliminate(t.with_children(x, [_expand(x.body, _at(pos, 0), steps)]), pos, steps)
     return x
 
 

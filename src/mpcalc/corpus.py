@@ -27,6 +27,7 @@ from .semantics import build_lts
 RATE_POOL = tuple(Fraction(n, m) for n, m in
                   ((1, 2), (1, 1), (3, 2), (2, 1), (3, 1), (5, 1), (1, 3)))
 WEIGHT_POOL = tuple(Fraction(n) for n in (1, 2, 3))
+ATTEMPTS = 400  # draws a generator makes before it gives up
 
 
 class GenerationError(CalcError):
@@ -78,8 +79,8 @@ def _grow(rng: Random, names: Sequence[str], depth: int, tau: bool,
 
 
 def random_term(rng: Random, names: Sequence[str] = ("a", "b"), depth: int = 3,
-                max_states: int = 8, tau: bool = True, static_ops: bool = True,
-                attempts: int = 400) -> t.ProcessTerm:
+                max_states: int = 8, tau: bool = True, static_ops: bool = True
+                ) -> t.ProcessTerm:
     """A random closed guarded performance-closed term.
 
     Exponential rates only, so performance closure holds by construction
@@ -87,7 +88,7 @@ def random_term(rng: Random, names: Sequence[str] = ("a", "b"), depth: int = 3,
     the term has no internal move at all: tau is left out of the prefixes,
     and candidates whose hiding turns visible moves into tau are redrawn.
     """
-    for _ in range(attempts):
+    for _ in range(ATTEMPTS):
         candidate = _grow(rng, names, depth, tau, static_ops)
         if candidate == t.NIL:
             continue
@@ -329,8 +330,7 @@ def law_instance(rng: Random, law: str, names: Sequence[str] = ("a", "b")
 
 def deadlock_free_term(rng: Random, horizon: int = 5,
                        names: Sequence[str] = ("a", "b"),
-                       max_states: int = 24, attempts: int = 400
-                       ) -> t.ProcessTerm:
+                       max_states: int = 24) -> t.ProcessTerm:
     """A term whose every computation still has a move before horizon."""
 
     def alive(depth: int) -> t.ProcessTerm:
@@ -349,7 +349,7 @@ def deadlock_free_term(rng: Random, horizon: int = 5,
         return t.Prefix(rng.choice(list(names) + [t.TAU]), _rate(rng),
                         alive(depth - 1))
 
-    for _ in range(attempts):
+    for _ in range(ATTEMPTS):
         candidate = alive(horizon)
         if not _analyzable(candidate, max_states):
             continue

@@ -112,15 +112,6 @@ def init(formula: Formula) -> frozenset[str]:
     return formula.initial
 
 
-def depth(formula: Formula) -> int:
-    """Nesting depth counted in diamonds; disjunction takes the max."""
-    if isinstance(formula, _True):
-        return 0
-    if isinstance(formula, Diamond):
-        return 1 + depth(formula.body)
-    return max(depth(formula.left), depth(formula.right))
-
-
 # A state's rate totals per action name, read off its move table.
 Totals = dict[str, Fraction]
 
@@ -298,11 +289,14 @@ def characterization_check(p1: t.ProcessTerm, p2: t.ProcessTerm, *,
     difference is returned as a counterexample, and a counterexample on
     a pair the decider finds equivalent flags a theorem violation.
     """
+    length = formula_depth if max_theta_len is None else max_theta_len
+    if formula_depth < 0 or length < 0:
+        raise ValueError(f"formula depth and theta length must be at least 0, "
+                         f"got {formula_depth} and {length}")
     left = _Semantics(p1, state_bound)
     right = _Semantics(p2, state_bound)
     names = sorted(left.lts.visible_names() | right.lts.visible_names())
     formulas = enumerate_formulas(names, formula_depth)
-    length = formula_depth if max_theta_len is None else max_theta_len
     values = _time_grid((left, right), names, grid_cap)
     thetas = [make_theta(combo)
               for size in range(length + 1)

@@ -40,12 +40,12 @@ def successful_measures(lts: LMTS, test: Test, max_len: int) -> list[Measure]:
     """Probability mass of successful computations of each exact length,
     grouped by their stepwise sojourn-time vectors."""
     product = InteractionProduct(lts, test)
-    info = product.info
+    states = test.states
     cache: dict[tuple[int, t.ProcessTerm, bool, int], Measure] = {}
 
     def measure(state: int, node: t.ProcessTerm, seen: bool, budget: int) -> Measure:
-        seen = seen or info[node].successful
-        if not seen and not info[node].live:
+        seen = seen or states[node].successful
+        if not seen and not states[node].live:
             return {}
         if budget == 0:
             return {(): Fraction(1)} if seen else {}

@@ -168,7 +168,7 @@ class LMTS:
     def state_of(self, term: t.ProcessTerm) -> int:
         return self.index[_normal(term)]
 
-    @property
+    @cached_property
     def performance_closed(self) -> bool:
         return all(not tr.rate.passive for tr in self.transitions())
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses as d
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import NotWellFormed, ReservedNameError
 
@@ -31,10 +31,6 @@ class Rate:
         object.__setattr__(self, "value", Fraction(self.value))
         if self.value <= 0:
             raise ValueError(f"rate must be positive, got {self.value}")
-
-    @staticmethod
-    def exp(value) -> Rate:
-        return Rate(Fraction(value), passive=False)
 
     @staticmethod
     def weight(value) -> Rate:
@@ -169,6 +165,23 @@ def children(term: ProcessTerm) -> tuple[ProcessTerm, ...]:
     return ()
 
 
+def with_children(term: ProcessTerm, kids: Sequence[ProcessTerm]) -> ProcessTerm:
+    """term rebuilt over kids, which take the places that children lists."""
+    if isinstance(term, Prefix):
+        return Prefix(term.name, term.rate, kids[0])
+    if isinstance(term, Choice):
+        return Choice(kids[0], kids[1])
+    if isinstance(term, Parallel):
+        return Parallel(term.sync, kids[0], kids[1])
+    if isinstance(term, Hide):
+        return Hide(term.hidden, kids[0])
+    if isinstance(term, Relabel):
+        return Relabel(term.mapping, kids[0])
+    if isinstance(term, Rec):
+        return Rec(term.var, kids[0])
+    return term
+
+
 def subterms(term: ProcessTerm) -> Iterator[ProcessTerm]:
     yield term
     for child in children(term):
@@ -233,10 +246,6 @@ class WellFormedness:
     closed: bool
     guarded: bool
 
-    @property
-    def ok(self) -> bool:
-        return self.closed and self.guarded
-
 
 def _guarded(term: ProcessTerm, pending: frozenset[str]) -> bool:
     # pending holds recursion variables whose binder has not yet been
@@ -277,21 +286,9 @@ def substitute(term: ProcessTerm, var: str, replacement: ProcessTerm) -> Process
     (always the case for recursion unfolding), so no capture can occur."""
     if isinstance(term, Var):
         return replacement if term.name == var else term
-    if isinstance(term, Rec):
-        if term.var == var:  # shadowed
-            return term
-        return Rec(term.var, substitute(term.body, var, replacement))
-    if isinstance(term, Prefix):
-        return Prefix(term.name, term.rate, substitute(term.body, var, replacement))
-    if isinstance(term, Choice):
-        return Choice(substitute(term.left, var, replacement), substitute(term.right, var, replacement))
-    if isinstance(term, Parallel):
-        return Parallel(term.sync, substitute(term.left, var, replacement), substitute(term.right, var, replacement))
-    if isinstance(term, Hide):
-        return Hide(term.hidden, substitute(term.body, var, replacement))
-    if isinstance(term, Relabel):
-        return Relabel(term.mapping, substitute(term.body, var, replacement))
-    return term
+    if isinstance(term, Rec) and term.var == var:  # shadowed
+        return term
+    return with_children(term, [substitute(child, var, replacement) for child in children(term)])
 
 
 def alpha_normalize(term: ProcessTerm) -> ProcessTerm:
@@ -312,17 +309,7 @@ def alpha_normalize(term: ProcessTerm) -> ProcessTerm:
             name = fresh(depth + 1)
             body = go(t.body, {**env, t.var: name}, depth + 1)
             return Rec(name, body)
-        if isinstance(t, Prefix):
-            return Prefix(t.name, t.rate, go(t.body, env, depth))
-        if isinstance(t, Choice):
-            return Choice(go(t.left, env, depth), go(t.right, env, depth))
-        if isinstance(t, Parallel):
-            return Parallel(t.sync, go(t.left, env, depth), go(t.right, env, depth))
-        if isinstance(t, Hide):
-            return Hide(t.hidden, go(t.body, env, depth))
-        if isinstance(t, Relabel):
-            return Relabel(t.mapping, go(t.body, env, depth))
-        return t
+        return with_children(t, [go(child, env, depth) for child in children(t)])
 
     return go(term, {}, 0)
 

@@ -15,12 +15,13 @@ projection is exactly s).  A computation is successful when it traverses
 a successful configuration anywhere, origin included; computations may
 extend past success, which matters for timed silent moves.
 
-This module makes the tests: canonical_tests builds the canonical
-reactive tests as they are consumed, and flavored_tests turns them into
-their liberal or tau variants.  It also owns the interaction product:
-InteractionProduct steps a process LMTS and a test's syntax tree
-together, and both prob_pass (one forward pass, pruned by theta) and the
-oracle's successful_measures run on it.
+This module makes the tests: a Test checks the grammar of its flavor
+and indexes its states in one walk when it is made, canonical_tests
+builds the canonical reactive tests as they are consumed, and
+flavored_tests turns them into their liberal or tau variants.  It also
+owns the interaction product: InteractionProduct steps a process LMTS
+and a test's state index together, and both prob_pass (one forward
+pass, pruned by theta) and the oracle's successful_measures run on it.
 The term-level route (interaction, interaction_lts,
 successful_computations, then computations.prob_set) composes the
 interaction term and enumerates its computations one by one; it follows
@@ -37,7 +38,7 @@ from itertools import chain, combinations
 
 from . import terms as t
 from .computations import Computation, Theta, enumerate_computations
-from .errors import NotPerformanceClosed, NotWellFormed, ReservedNameError
+from .errors import CalcError, NotPerformanceClosed, NotWellFormed, ReservedNameError
 from .parser import parse_test_body
 from .semantics import LMTS, build_lts
 
@@ -45,53 +46,82 @@ FLAVORS = ("reactive", "liberal", "tau")
 
 
 @d.dataclass(frozen=True)
+class TestState:
+    """A state of a test: its prefix summands (name, rate, body), whether s
+    is a summand, and whether success is still reachable, given that z
+    never synchronizes."""
+
+    summands: tuple[tuple[str, t.Rate, t.ProcessTerm], ...]
+    successful: bool
+    live: bool
+
+
+@d.dataclass(frozen=True)
 class Test:
+    """A test term of the given flavor, checked against its grammar when it
+    is made.  states maps each state of the test to its TestState."""
+
     term: t.ProcessTerm
-    flavor: str
+    flavor: str = "reactive"
+    states: dict[t.ProcessTerm, TestState] = d.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.flavor not in FLAVORS:
+            raise ValueError(f"unknown test flavor {self.flavor!r}")
+        object.__setattr__(self, "states", _index(self.term, self.flavor))
 
     def __str__(self) -> str:
         return t.pretty(self.term)
+
+
+make_test = Test
 
 
 def is_successful_projection(term: t.ProcessTerm) -> bool:
     return any(isinstance(s, t.Success) for s in t.summand_list(term))
 
 
-def _validate(term: t.ProcessTerm, flavor: str, success_ok: bool) -> None:
-    if isinstance(term, t.Success):
-        if not success_ok:
-            raise NotWellFormed("the success state cannot occur as a choice summand here")
-        return
-    if isinstance(term, t.Choice):
-        summand_ok = flavor == "liberal"
-        _validate(term.left, flavor, summand_ok)
-        _validate(term.right, flavor, summand_ok)
-        return
-    if isinstance(term, t.Prefix):
-        if term.name == t.TAU:
-            if flavor != "tau":
-                raise NotWellFormed("timed tau prefixes require a tau-capable test")
-            if term.rate.passive:
-                raise NotWellFormed("tau test prefixes must be exponentially timed")
-            # the grammar forbids success immediately after an internal move
-            _validate(term.body, flavor, success_ok=False)
-            return
-        if not term.rate.passive:
-            raise NotWellFormed(f"test action {term.name} must be passive")
-        _validate(term.body, flavor, success_ok=True)
-        return
-    raise NotWellFormed(f"not a test construct: {t.pretty(term)}")
+def _index(term: t.ProcessTerm, flavor: str) -> dict[t.ProcessTerm, TestState]:
+    """The states of a test, in one walk that also checks the grammar of
+    its flavor; NotWellFormed names the first rule broken."""
+    states: dict[t.ProcessTerm, TestState] = {}
 
+    def visit(node: t.ProcessTerm) -> TestState:
+        if node in states:
+            return states[node]
+        parts = t.summand_list(node)
+        successful = live = False
+        summands = []
+        for part in parts:
+            if isinstance(part, t.Success):
+                if len(parts) > 1 and flavor != "liberal":
+                    raise NotWellFormed("the success state cannot occur as a choice summand here")
+                successful = live = True
+                continue
+            if not isinstance(part, t.Prefix):
+                raise NotWellFormed(f"not a test construct: {t.pretty(part)}")
+            if part.name == t.TAU:
+                if flavor != "tau":
+                    raise NotWellFormed("timed tau prefixes require a tau-capable test")
+                if part.rate.passive:
+                    raise NotWellFormed("tau test prefixes must be exponentially timed")
+                # the grammar forbids success immediately after an internal move
+                if isinstance(part.body, t.Success):
+                    raise NotWellFormed("the success state cannot occur as a choice summand here")
+            elif not part.rate.passive:
+                raise NotWellFormed(f"test action {part.name} must be passive")
+            summands.append((part.name, part.rate, part.body))
+            if visit(part.body).live and part.name != t.FAILURE_NAME:
+                live = True
+        states[node] = TestState(tuple(summands), successful, live)
+        return states[node]
 
-def make_test(term: t.ProcessTerm, flavor: str = "reactive") -> Test:
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown test flavor {flavor!r}")
-    _validate(term, flavor, success_ok=True)
-    return Test(term, flavor)
+    visit(term)
+    return states
 
 
 def parse_test(source: str, flavor: str = "reactive") -> Test:
-    return make_test(parse_test_body(source), flavor)
+    return Test(parse_test_body(source), flavor)
 
 
 def interaction(process: t.ProcessTerm, test: Test, state_bound: int = 10000) -> t.ProcessTerm:
@@ -137,38 +167,6 @@ def successful_computations(
     ]
 
 
-@d.dataclass(frozen=True)
-class _NodeInfo:
-    summands: tuple[tuple[str, t.Rate, t.ProcessTerm], ...]
-    successful: bool
-    live: bool  # success still reachable, given that z never synchronizes
-
-
-def _test_info(test_term: t.ProcessTerm) -> dict[t.ProcessTerm, _NodeInfo]:
-    info: dict[t.ProcessTerm, _NodeInfo] = {}
-
-    def visit(node: t.ProcessTerm) -> _NodeInfo:
-        if node in info:
-            return info[node]
-        parts = t.summand_list(node)
-        successful = any(isinstance(p, t.Success) for p in parts)
-        summands = []
-        live = successful
-        for part in parts:
-            if isinstance(part, t.Success):
-                continue
-            assert isinstance(part, t.Prefix)
-            summands.append((part.name, part.rate, part.body))
-            if part.name != t.FAILURE_NAME and visit(part.body).live:
-                live = True
-        entry = _NodeInfo(tuple(summands), successful, live)
-        info[node] = entry
-        return entry
-
-    visit(test_term)
-    return info
-
-
 # (mean sojourn time or None, ((probability, process state, test node), ...))
 Step = tuple[Fraction | None, tuple[tuple[Fraction, int, t.ProcessTerm], ...]]
 
@@ -188,7 +186,7 @@ class InteractionProduct:
     def __init__(self, lts: LMTS, test: Test):
         if not lts.performance_closed:
             raise NotPerformanceClosed("the process under test is not performance-closed")
-        self.info = _test_info(test.term)
+        self._states = test.states
         self._moves = lts.moves
         self._steps: dict[tuple[int, t.ProcessTerm], Step] = {}
 
@@ -201,7 +199,7 @@ class InteractionProduct:
         return self._steps[key]
 
     def _step(self, state: int, node: t.ProcessTerm) -> Step:
-        summands = self.info[node].summands
+        summands = self._states[node].summands
         weights: dict[str, Fraction] = {}
         for name, rate, _ in summands:
             if rate.passive:
@@ -244,18 +242,18 @@ def prob_pass(process: t.ProcessTerm, test: Test, theta: Theta, state_bound: int
     """
     lts = build_lts(process, state_bound=state_bound)
     product = InteractionProduct(lts, test)
-    info = product.info
-    frontier = {(0, test.term, info[test.term].successful): Fraction(1)}
+    states = test.states
+    frontier = {(0, test.term, states[test.term].successful): Fraction(1)}
     for bound in theta:
         reached: dict[tuple[int, t.ProcessTerm, bool], Fraction] = {}
         for (state, node, seen), mass in frontier.items():
-            if not seen and not info[node].live:
+            if not seen and not states[node].live:
                 continue
             sojourn, branches = product.step(state, node)
             if sojourn is None or sojourn > bound:
                 continue
             for share, state2, node2 in branches:
-                key = (state2, node2, seen or info[node2].successful)
+                key = (state2, node2, seen or states[node2].successful)
                 reached[key] = reached.get(key, Fraction(0)) + mass * share
         frontier = reached
     return sum((mass for (_, _, seen), mass in frontier.items() if seen), Fraction(0))
@@ -282,6 +280,8 @@ def canonical_tests(names, depth: int) -> Iterator[Test]:
     step through the reserved name z.  Each layer is kept as the
     continuations of the next.
     """
+    if depth < 0:
+        raise CalcError(f"test depth must be at least 0, got {depth}")
     universe = sorted(set(names))
     if t.TAU in universe or t.FAILURE_NAME in universe:
         raise ReservedNameError("environment names must be visible and distinct from z")
@@ -344,6 +344,6 @@ def flavored_tests(base: Iterable[Test], flavor: str) -> Iterable[Test]:
             for term in chain((test.term,), _edited(test.term, edit)):
                 if term not in seen:
                     seen.add(term)
-                    yield make_test(term, flavor)
+                    yield Test(term, flavor)
 
     return variants()

@@ -105,6 +105,11 @@ def test_gen_tests_lists_canonical_tests(capsys):
     assert "<a,*1>.s + <b,*1>.<z,*1>.s" in lines
 
 
+def test_gen_tests_negative_depth_exits_two(capsys):
+    code, out, err = run(capsys, "gen-tests", "-E", "a", "--depth", "-1")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_lts_text_and_dot(capsys):
     code, out, _ = run(capsys, "lts", "<a,1>.0 + <a,1>.0", "--annotate-rates")
     assert code == 0

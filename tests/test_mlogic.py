@@ -164,6 +164,14 @@ def test_characterization_grid_cap_below_two_is_rejected():
     assert report.theta == (Fraction(1, 4),)
 
 
+def test_characterization_negative_depths_are_rejected():
+    left, right = parse_term("<a,1>.0"), parse_term("<a,2>.0")
+    for options in ({"formula_depth": -1}, {"max_theta_len": -1}):
+        with pytest.raises(ValueError):
+            ml.characterization_check(left, right, **options)
+    assert not ml.characterization_check(left, right, formula_depth=1, max_theta_len=1).consistent
+
+
 def test_characterization_requires_performance_closure():
     closed, open_ = parse_term("<a,1>.0"), parse_term("<a,*1>.0")
     for left, right in ((open_, closed), (closed, open_)):

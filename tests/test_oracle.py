@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpcalc.corpus import random_pairs, random_term
+from mpcalc.errors import CalcError
 from mpcalc.oracle import (bounded_testing_oracle, old_style_oracle,
                            passing_probability, successful_measures)
 from mpcalc.parser import parse_term
@@ -77,3 +78,12 @@ def test_flavors_agree():
 def test_unknown_flavor_is_rejected():
     with pytest.raises(ValueError):
         bounded_testing_oracle(parse_term("<a,1>.0"), parse_term("<a,2>.0"), flavor="bogus")
+
+
+def test_negative_depths_are_rejected():
+    left, right = parse_term("<a,1>.0"), parse_term("<a,2>.0")
+    with pytest.raises(CalcError):
+        bounded_testing_oracle(left, right, depth=-1)
+    with pytest.raises(CalcError):
+        old_style_oracle(left, right, depth=-2)
+    assert bounded_testing_oracle(left, right, depth=0).equivalent

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from mpcalc import terms as t
 from mpcalc.computations import filter_le_theta, filter_len, prob_set
 from mpcalc.corpus import random_term
-from mpcalc.errors import NotPerformanceClosed, NotWellFormed, ReservedNameError
+from mpcalc.errors import CalcError, NotPerformanceClosed, NotWellFormed, ReservedNameError
 from mpcalc import testing
-from mpcalc.oracle import passing_probability, successful_measures
+from mpcalc.oracle import bounded_testing_oracle, passing_probability, successful_measures
 from mpcalc.parser import parse_term, parse_test_body
 from mpcalc.semantics import build_lts, derive_transitions
 from mpcalc.testing import (canonical_tests, flavored_tests, interaction, make_test,
@@ -40,6 +40,32 @@ def test_test_shape_validation():
     parse_test("<tau,3>.<a,*1>.s", flavor="tau")
     with pytest.raises(NotWellFormed):
         parse_test("<tau,3>.s")
+    for source, flavor in (("<a,*1>.0", "reactive"), ("s + s", "reactive"),
+                           ("<tau,1>.(s + <a,*1>.s)", "tau"), ("<a,*1>.<tau,2>.s", "tau"),
+                           ("<a,*1>.(s + <b,*1>.s)", "reactive"),
+                           ("<tau,1>.<a,*1>.s", "liberal")):
+        with pytest.raises(NotWellFormed):
+            parse_test(source, flavor=flavor)
+    for source, flavor in (("s + s", "liberal"), ("<a,*1>.<tau,2>.<b,*1>.s", "tau"),
+                           ("<tau,1>.<a,*1>.s + <b,*1>.s", "tau"), ("<z,*1>.s", "reactive")):
+        parse_test(source, flavor=flavor)
+
+
+def test_a_test_is_checked_when_it_is_made():
+    with pytest.raises(NotWellFormed):
+        testing.Test(parse_test_body("<a,2>.s"), "reactive")
+    with pytest.raises(ValueError):
+        testing.Test(t.SUCCESS, "bogus")
+
+
+def test_the_oracle_indexes_each_test_once(monkeypatch):
+    calls = []
+    index = testing._index
+    monkeypatch.setattr(testing, "_index", lambda *args: calls.append(args) or index(*args))
+    verdict = bounded_testing_oracle(parse_term("<a,1>.<b,1>.0"), parse_term("<a,1>.<b,2>.0"),
+                                     depth=2)
+    assert not verdict.equivalent
+    assert len(calls) == verdict.tests_checked > 1
 
 
 def test_interaction_synchronizes_on_all_visible_names():
@@ -137,6 +163,12 @@ def test_canonical_tests_reject_reserved_names():
     for names in (["a", "tau"], ["z"]):
         with pytest.raises(ReservedNameError):
             canonical_tests(names, 1)
+
+
+def test_canonical_tests_reject_negative_depths():
+    with pytest.raises(CalcError):
+        canonical_tests(["a"], -1)
+    assert [str(x) for x in canonical_tests(["a"], 0)] == ["s"]
 
 
 def _digest(tests):
