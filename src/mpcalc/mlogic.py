@@ -21,6 +21,18 @@ characterization_check builds each side's LMTS once, sweeps enumerated
 formulas against a time grid and cross-checks the outcome with the exact
 decider: a differing (phi, theta) on a decider-equivalent pair is a bug
 witness in one of the two, never something to patch over.
+
+The sweep evaluates each formula's cut at most once.  Every diamond step
+uses up one theta entry and every tau move one more, while an Or hands
+its disjuncts a theta of the same length; at an empty theta true is
+worth 1 and every other formula 0.  So with thetas of at most n entries
+a value depends only on the formula's shape down to diamond depth n
+(Or disjunct names included, since they sit at the Or's own depth), with
+each deeper body reduced to "true or not".  A formula whose cut an
+earlier formula already had takes the same values as that formula on
+both sides at every swept theta, so it cannot show a difference that the
+earlier one did not; it is counted in formulas_checked but not
+evaluated again, and the report stays the one of the full sweep.
 """
 
 from __future__ import annotations
@@ -33,9 +45,10 @@ from typing import Iterable, Sequence
 from . import terms as t
 from .computations import Theta, breakpoint_grid, make_theta
 from .decider import embed, prob_language_equiv
-from .errors import NotPerformanceClosed, NotWellFormed
-from .semantics import Move, build_lts
+from .errors import NotPerformanceClosed, NotWellFormed, ReservedNameError
+from .semantics import build_lts
 
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -55,6 +68,9 @@ class _True(Formula):
     def __str__(self) -> str:
         return "true"
 
+    def __reduce__(self) -> str:
+        return "TRUE"  # unpickles to the one instance
+
 
 TRUE = _True()
 
@@ -64,18 +80,32 @@ def _head(formula: Formula) -> str:
     return f"({formula})" if isinstance(formula, Or) else str(formula)
 
 
+# Diamond and Or compute their hash once, when the node is built, so a
+# memo lookup does not rehash the whole formula.  Pickling rebuilds the
+# node, because string hashes differ between processes.
+
 @d.dataclass(frozen=True)
 class Diamond(Formula):
     name: str
     body: Formula
     initial: frozenset[str] = d.field(init=False, repr=False, compare=False)
+    _hash: int = d.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.name == t.TAU:
             raise NotWellFormed("diamond actions must be visible")
+        if self.name == t.FAILURE_NAME:
+            raise ReservedNameError(f"name {t.FAILURE_NAME!r} is reserved for tests")
         if not isinstance(self.body, Formula):
             raise NotWellFormed(f"not a formula: {self.body!r}")
         object.__setattr__(self, "initial", frozenset((self.name,)))
+        object.__setattr__(self, "_hash", hash((Diamond, self.name, self.body)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Diamond, (self.name, self.body)
 
     def __str__(self) -> str:
         return f"<{self.name}>{_head(self.body)}"
@@ -86,6 +116,7 @@ class Or(Formula):
     left: Formula
     right: Formula
     initial: frozenset[str] = d.field(init=False, repr=False, compare=False)
+    _hash: int = d.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for side in (self.left, self.right):
@@ -98,6 +129,13 @@ class Or(Formula):
             raise NotWellFormed(
                 "disjuncts must have disjoint initial action sets")
         object.__setattr__(self, "initial", left | right)
+        object.__setattr__(self, "_hash", hash((Or, self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Or, (self.left, self.right)
 
     def __str__(self) -> str:
         left = f"({self.left})" if isinstance(self.left, Or) else str(self.left)
@@ -112,30 +150,16 @@ def init(formula: Formula) -> frozenset[str]:
     return formula.initial
 
 
-# A state's rate totals per action name, read off its move table.
-Totals = dict[str, Fraction]
-
-
-def _totals(moves: tuple[Move, ...]) -> Totals:
-    totals: Totals = {}
-    for name, rate, _ in moves:
-        totals[name] = totals.get(name, Fraction(0)) + rate
-    return totals
-
-
-def _rate_over(totals: Totals, names: Iterable[str], with_tau: bool) -> Fraction:
-    value = totals.get(t.TAU, Fraction(0)) if with_tau else Fraction(0)
-    for name in names:
-        value += totals.get(name, Fraction(0))
-    return value
-
-
 class _Semantics:
     """Formula values on the states of one performance-closed LMTS.
 
     Values are memoized on (state, tau_stripped, theta, formula); with
     tau_stripped set a state is evaluated as if its tau moves were absent,
-    which is how an Or disjunct sees the process.
+    which is how an Or disjunct sees the process.  A theta is an interned
+    id: id 0 is the empty sequence and every other id stands for a head
+    time consed onto the id of the rest, so no memo key hashes a tuple of
+    fractions.  Each state's rate over a set of initial names, and the
+    reciprocal that the time guards compare against, are worked out once.
     """
 
     def __init__(self, process: t.ProcessTerm, state_bound: int):
@@ -144,10 +168,44 @@ class _Semantics:
             raise NotPerformanceClosed(
                 f"formula interpretation needs a performance-closed term: {process}")
         self.moves = self.lts.moves
-        self.totals = [_totals(moves) for moves in self.moves]
-        self.memo: dict[tuple[int, bool, Theta, Formula], Fraction] = {}
+        self.rates: dict[tuple[int, frozenset[str], bool],
+                         tuple[Fraction, Fraction | None]] = {}
+        self.memo: dict[tuple[int, bool, int, Formula], Fraction] = {}
+        self.heads: list[Fraction] = [_ZERO]
+        self.rests: list[int] = [0]
+        self.theta_ids: dict[tuple[Fraction, int], int] = {}
 
-    def value(self, state: int, tau_stripped: bool, theta: Theta,
+    def cons(self, head: Fraction, rest: int) -> int:
+        """Id of the theta that starts with head and goes on as rest."""
+        key = (head, rest)
+        found = self.theta_ids.get(key)
+        if found is None:
+            found = self.theta_ids[key] = len(self.heads)
+            self.heads.append(head)
+            self.rests.append(rest)
+        return found
+
+    def intern(self, theta: Theta) -> int:
+        """Id of a theta given as a tuple."""
+        found = 0
+        for head in reversed(theta):
+            found = self.cons(head, found)
+        return found
+
+    def rate(self, state: int, names: frozenset[str],
+             with_tau: bool) -> tuple[Fraction, Fraction | None]:
+        """Total rate of the state's moves on names (and on tau if
+        with_tau), with its reciprocal, or None when the rate is 0."""
+        key = (state, names, with_tau)
+        entry = self.rates.get(key)
+        if entry is None:
+            value = sum((rate for name, rate, _ in self.moves[state]
+                         if name in names or (with_tau and name == t.TAU)), _ZERO)
+            entry = (value, _ONE / value if value else None)
+            self.rates[key] = entry
+        return entry
+
+    def value(self, state: int, tau_stripped: bool, theta: int,
               formula: Formula) -> Fraction:
         key = (state, tau_stripped, theta, formula)
         cached = self.memo.get(key)
@@ -156,36 +214,42 @@ class _Semantics:
             self.memo[key] = cached
         return cached
 
-    def _clause(self, state: int, tau_stripped: bool, theta: Theta,
+    def _clause(self, state: int, tau_stripped: bool, theta: int,
                 formula: Formula) -> Fraction:
         if not theta:
-            return _ONE if isinstance(formula, _True) else Fraction(0)
-        totals = self.totals[state]
-        denominator = _rate_over(totals, init(formula), with_tau=not tau_stripped)
-        if denominator == 0:
-            return Fraction(0)
-        head, rest = theta[0], theta[1:]
+            return _ONE if isinstance(formula, _True) else _ZERO
+        _, mean_time = self.rate(state, formula.initial, not tau_stripped)
+        if mean_time is None:
+            return _ZERO
+        head, rest = self.heads[theta], self.rests[theta]
         # Or has no time guard of its own; the adjusted head times are
         # checked by the inner clauses.
-        if not isinstance(formula, Or) and _ONE / denominator > head:
-            return Fraction(0)
-        total = Fraction(0)
+        if not isinstance(formula, Or) and mean_time > head:
+            return _ZERO
+        # Each branch weighs rate over the rate that mean_time is the
+        # reciprocal of: total sums rate * value and is scaled once.
+        total = _ZERO
         for name, rate, target in self.moves[state]:
             if name == t.TAU and not tau_stripped:
                 # past an initial tau the whole formula races on
-                total += rate / denominator * self.value(target, False, rest, formula)
+                part = self.value(target, False, rest, formula)
             elif isinstance(formula, Diamond) and name == formula.name:
-                total += rate / denominator * self.value(target, False, rest, formula.body)
+                part = self.value(target, False, rest, formula.body)
+            else:
+                continue
+            if part:
+                total += rate * part
         if isinstance(formula, Or):
             # weight each disjunct and grant it the freed-up sojourn time
             for disjunct in (formula.left, formula.right):
-                numerator = _rate_over(totals, init(disjunct), with_tau=False)
-                if numerator == 0:
+                numerator, disjunct_time = self.rate(state, disjunct.initial, False)
+                if disjunct_time is None:
                     continue
-                adjusted = head + (_ONE / numerator - _ONE / denominator)
-                total += (numerator / denominator
-                          * self.value(state, True, (adjusted,) + rest, disjunct))
-        return total
+                adjusted = head + (disjunct_time - mean_time)
+                part = self.value(state, True, self.cons(adjusted, rest), disjunct)
+                if part:
+                    total += numerator * part
+        return total * mean_time if total else _ZERO
 
 
 def eval(process: t.ProcessTerm, theta: Theta, formula: Formula,
@@ -198,7 +262,7 @@ def eval(process: t.ProcessTerm, theta: Theta, formula: Formula,
     if not isinstance(formula, Formula):
         raise NotWellFormed(f"not a formula: {formula!r}")
     semantics = _Semantics(process, state_bound)
-    return semantics.value(0, False, make_theta(theta), formula)
+    return semantics.value(0, False, semantics.intern(make_theta(theta)), formula)
 
 
 def enumerate_formulas(names: Iterable[str], formula_depth: int) -> list[Formula]:
@@ -208,9 +272,13 @@ def enumerate_formulas(names: Iterable[str], formula_depth: int) -> list[Formula
     heads in sorted order.  Other associations of the same disjunct set
     are not generated.
     """
+    if formula_depth < 0:
+        raise ValueError(f"formula depth must be at least 0, got {formula_depth}")
     ordered = sorted(set(names))
     if t.TAU in ordered:
         raise NotWellFormed("diamond actions must be visible")
+    if t.FAILURE_NAME in ordered:
+        raise ReservedNameError(f"name {t.FAILURE_NAME!r} is reserved for tests")
     levels: list[list[Formula]] = [[TRUE]]
     for level in range(1, formula_depth + 1):
         diamonds = [Diamond(name, body)
@@ -248,12 +316,27 @@ def _time_grid(sides: Sequence[_Semantics], names: Sequence[str],
                cap: int) -> list[Fraction]:
     # Candidate head times are reciprocals of the exit rates the clauses
     # actually compare against, plus midpoints and one value past the max.
-    pools = [((), True), (names, True)]
-    pools.extend(((name,), with_tau) for name in names for with_tau in (False, True))
-    rates = {_rate_over(totals, pool, with_tau)
-             for side in sides for totals in side.totals
+    pools = [(frozenset(), True), (frozenset(names), True)]
+    pools.extend((frozenset((name,)), with_tau)
+                 for name in names for with_tau in (False, True))
+    times = {side.rate(state, pool, with_tau)[1]
+             for side in sides for state in range(len(side.moves))
              for pool, with_tau in pools}
-    return breakpoint_grid((_ONE / rate for rate in rates if rate > 0), cap)
+    times.discard(None)
+    return breakpoint_grid(times, cap)
+
+
+def _cut(formula: Formula, depth: int) -> object:
+    """The part of formula that a theta of at most depth entries can see:
+    its shape down to diamond depth `depth`, below which each body only
+    says whether it is true."""
+    if isinstance(formula, _True):
+        return True
+    if depth == 0:
+        return False
+    if isinstance(formula, Diamond):
+        return ("<>", formula.name, _cut(formula.body, depth - 1))
+    return ("\\/", _cut(formula.left, depth), _cut(formula.right, depth))
 
 
 @d.dataclass(frozen=True)
@@ -298,17 +381,23 @@ def characterization_check(p1: t.ProcessTerm, p2: t.ProcessTerm, *,
     names = sorted(left.lts.visible_names() | right.lts.visible_names())
     formulas = enumerate_formulas(names, formula_depth)
     values = _time_grid((left, right), names, grid_cap)
-    thetas = [make_theta(combo)
-              for size in range(length + 1)
-              for combo in cartesian(values, repeat=size)]
+    thetas = [(theta, left.intern(theta), right.intern(theta))
+              for theta in (make_theta(combo)
+                            for size in range(length + 1)
+                            for combo in cartesian(values, repeat=size))]
     equivalent = prob_language_equiv(embed(left.lts), embed(right.lts)).equivalent
 
+    swept: set[object] = set()
     checked = 0
     for formula in formulas:
         checked += 1
-        for theta in thetas:
-            value_left = left.value(0, False, theta, formula)
-            value_right = right.value(0, False, theta, formula)
+        cut = _cut(formula, length)
+        if cut in swept:
+            continue  # an earlier formula with this cut showed no difference
+        swept.add(cut)
+        for theta, left_id, right_id in thetas:
+            value_left = left.value(0, False, left_id, formula)
+            value_right = right.value(0, False, right_id, formula)
             if value_left != value_right:
                 return CharReport(False, equivalent, formula, theta,
                                   value_left, value_right, checked)

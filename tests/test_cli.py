@@ -82,6 +82,12 @@ def test_eval_formula_errors_exit_two(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_eval_formula_rejects_the_failure_name(capsys):
+    code, out, err = run(capsys, "eval-formula", "-p", "<a,1>.0",
+                         "-f", "<z>true", "--theta", "1")
+    assert code == 2 and out == "" and "reserved" in err
+
+
 def test_normalize_and_prove(capsys):
     code, out, _ = run(capsys, "normalize", "<a,1>.0 + <a,2>.0")
     assert code == 0 and out == "<a,3>.0\n"

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import pickle
+import sys
+from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mpcalc import mlogic as ml
-from mpcalc.corpus import random_term
-from mpcalc.errors import NotPerformanceClosed, NotWellFormed
+from mpcalc.corpus import random_pair, random_term
+from mpcalc.errors import NotPerformanceClosed, NotWellFormed, ReservedNameError
 from mpcalc.parser import parse_formula, parse_term
 from mpcalc.rates import EXPONENTIAL, rate_o
 from mpcalc.testing import make_test, prob_pass
@@ -24,6 +28,25 @@ def test_formula_wellformedness():
         ml.Or(a_true, ml.Diamond("a", ml.Or(
             ml.Diamond("b", ml.TRUE), ml.Diamond("a", ml.TRUE))))
     ml.Or(a_true, ml.Diamond("b", ml.TRUE))
+
+
+def test_failure_name_is_reserved_in_formulas():
+    with pytest.raises(ReservedNameError):
+        ml.Diamond("z", ml.TRUE)
+    with pytest.raises(ReservedNameError):
+        parse_formula("<z>true")
+    for depth in (0, 1):
+        with pytest.raises(ReservedNameError):
+            ml.enumerate_formulas(["z", "a"], depth)
+
+
+def test_formulas_hash_by_value_and_survive_pickling():
+    formula = parse_formula("<a><b>true \\/ <b>true")
+    twin = parse_formula("<a><b>true \\/ <b>true")
+    assert formula is not twin and formula == twin and hash(formula) == hash(twin)
+    copy = pickle.loads(pickle.dumps(formula))
+    assert copy == formula and hash(copy) == hash(formula)
+    assert copy.initial == frozenset({"a", "b"})
 
 
 def test_init_sets():
@@ -95,6 +118,9 @@ def test_formula_enumeration_counts():
     assert [len(ml.enumerate_formulas(("a",), d)) for d in range(4)] == [1, 2, 3, 4]
     for formula in ml.enumerate_formulas(("a", "b"), 2):
         assert parse_formula(str(formula)) == formula
+    for depth in (-1, -5):
+        with pytest.raises(ValueError):
+            ml.enumerate_formulas(("a", "b"), depth)
 
 
 @settings(max_examples=50, deadline=None)
@@ -150,6 +176,86 @@ def test_characterization_on_deferred_choice_pair():
     report = ml.characterization_check(left, right, formula_depth=3)
     assert report.consistent and report.decider_equivalent
     assert report.formulas_checked == 676
+
+
+def test_characterization_sweeps_each_cut_once(monkeypatch):
+    # With thetas of at most 2 entries the 676 formulas of depth 3 over
+    # two names have 100 distinct cuts; each is swept once per theta.
+    swept = Counter()
+    thetas = defaultdict(set)
+    value = ml._Semantics.value
+
+    def counted(self, state, tau_stripped, theta, formula):
+        if sys._getframe(1).f_code.co_name == "characterization_check":
+            swept[id(self)] += 1
+            thetas[id(self)].add(theta)
+        return value(self, state, tau_stripped, theta, formula)
+
+    monkeypatch.setattr(ml._Semantics, "value", counted)
+    left = parse_term("<a,1>.<b,5>.0 + <a,2>.<b,5>.0")
+    right = parse_term("<a,3>.<b,5>.0")
+    report = ml.characterization_check(left, right, formula_depth=3, max_theta_len=2)
+    assert report.consistent and report.formulas_checked == 676
+    assert len(swept) == 2
+    for side, count in swept.items():
+        assert len(thetas[side]) > 10 and count == 100 * len(thetas[side])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9))
+def test_formulas_with_one_cut_take_one_value(seed):
+    # the lemma the sweep skips by: at thetas of n entries a value depends
+    # only on the formula's cut at depth n
+    rng = Random(seed)
+    semantics = ml._Semantics(random_term(rng, depth=3, max_states=10), 10000)
+    length = rng.randint(0, 3)
+    thetas = [semantics.intern(tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                                     for _ in range(length)))
+              for _ in range(4)]
+    first: dict[object, ml.Formula] = {}
+    for formula in ml.enumerate_formulas(("a", "b"), 3):
+        other = first.setdefault(ml._cut(formula, length), formula)
+        for theta in thetas:
+            assert (semantics.value(0, False, theta, formula)
+                    == semantics.value(0, False, theta, other)), (str(formula), str(other))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([("a",), ("a", "b")]),
+       st.integers(0, 3), st.integers(0, 3))
+# pairs with tau moves: seed 3 is consistent, seed 8 differs at formula 6
+@example(3, ("a", "b"), 2, 1)
+@example(3, ("a", "b"), 2, 3)
+@example(8, ("a", "b"), 2, 1)
+def test_characterization_matches_the_plain_sweep(seed, names, formula_depth,
+                                                  theta_len):
+    # The reference evaluates every formula at every theta with eval and
+    # stops at the first difference, so skipping by cut must not change
+    # the report.
+    formula_depth = min(formula_depth, 4 - len(names))
+    pair = random_pair(Random(seed), names=names, depth=3, max_states=6)
+    report = ml.characterization_check(pair.left, pair.right,
+                                       formula_depth=formula_depth, grid_cap=2,
+                                       max_theta_len=theta_len)
+    sides = [ml._Semantics(process, 10000) for process in (pair.left, pair.right)]
+    visible = sorted(sides[0].lts.visible_names() | sides[1].lts.visible_names())
+    grid = ml._time_grid(sides, visible, 2)
+    thetas = [theta for size in range(theta_len + 1)
+              for theta in product(grid, repeat=size)]
+    expected = (True, None, None, None, None)
+    checked = 0
+    for formula in ml.enumerate_formulas(visible, formula_depth):
+        checked += 1
+        for theta in thetas:
+            values = [ml.eval(process, theta, formula)
+                      for process in (pair.left, pair.right)]
+            if values[0] != values[1]:
+                expected = (False, formula, theta, *values)
+                break
+        if not expected[0]:
+            break
+    assert (report.consistent, report.formula, report.theta, report.value_left,
+            report.value_right, report.formulas_checked) == (*expected, checked)
 
 
 def test_characterization_grid_cap_below_two_is_rejected():
