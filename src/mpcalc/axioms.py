@@ -5,12 +5,20 @@ The fifteen laws cover commutativity/associativity/identity of choice
 composition with its nil degenerations A6-A8, and distribution of hiding
 (A9-A12) and relabeling (A13-A15) over prefixes and sums.
 
+The laws for static operators read the semantics rather than restate it.
+A5-A8 rewrite a composition into the sum of its one-step moves, which
+semantics.compose_parallel computes from the operands' prefix summands,
+so the synchronization rates of the law and of derive_transitions are
+one computation.  A9-A15 distribute a hiding or relabeling over nil, a
+prefix (renamed by Hide.apply or Relabel.apply) or a sum, one path for
+both operators.
+
 A6 and A7 keep the nil parallel context around the continuations
-(<a,rate>.(P |[S]| 0) rather than <a,rate>.P): dropping it is unsound
-whenever a continuation mentions a name in S, e.g. <a,1>.<s,1>.0 |[s]| 0
-deadlocks after a while <a,1>.<s,1>.0 does not.  Innermost expansion
-removes the kept context in the next round, so fully expanded results are
-unaffected.
+(<a,rate>.(P |[S]| 0) rather than <a,rate>.P), as the parallel rule
+does: dropping it is unsound whenever a continuation mentions a name in
+S, e.g. <a,1>.<s,1>.0 |[s]| 0 deadlocks after a while <a,1>.<s,1>.0 does
+not.  Innermost expansion removes the kept context in the next round, so
+fully expanded results are unaffected.
 
 normalize implements the proof strategy: expand away static operators,
 then per sum flatten with A1-A3 under a fixed total order and merge with
@@ -29,7 +37,7 @@ from fractions import Fraction
 from . import terms as t
 from .decider import decide_equiv
 from .errors import LawError, NotPerformanceClosed, NotWellFormed
-from .semantics import build_lts, weight
+from .semantics import Entry, build_lts, compose_parallel
 
 LAW_IDS = tuple(f"A{i}" for i in range(1, 16))
 
@@ -121,60 +129,62 @@ def a4_merge(branches: list[t.Prefix]) -> t.Prefix:
     return t.Prefix(branches[0].name, t.Rate(total), t.nest_right(inner))
 
 
-def _a5(term: t.Parallel) -> t.ProcessTerm:
-    left = _prefix_sum(term.left, "A5")
-    right = _prefix_sum(term.right, "A5")
-    sync = term.sync
-    par = lambda a, b: t.Parallel(sync, a, b)
-    out: list[t.ProcessTerm] = []
-    for k in left:
-        if k.name not in sync:
-            out.append(t.Prefix(k.name, k.rate, par(k.body, term.right)))
-    for h in right:
-        if h.name not in sync:
-            out.append(t.Prefix(h.name, h.rate, par(term.left, h.body)))
-    for k in left:
-        if k.name in sync and not k.rate.passive:
-            for h in right:
-                if h.name == k.name and h.rate.passive:
-                    scaled = k.rate.value * h.rate.value / weight(term.right, k.name)
-                    out.append(t.Prefix(k.name, t.Rate(scaled), par(k.body, h.body)))
-    for h in right:
-        if h.name in sync and not h.rate.passive:
-            for k in left:
-                if k.name == h.name and k.rate.passive:
-                    scaled = h.rate.value * k.rate.value / weight(term.left, h.name)
-                    out.append(t.Prefix(h.name, t.Rate(scaled), par(k.body, h.body)))
-    for k in left:
-        if k.name in sync and k.rate.passive:
-            for h in right:
-                if h.name == k.name and h.rate.passive:
-                    wl = weight(term.left, k.name)
-                    wr = weight(term.right, k.name)
-                    value = (k.rate.value / wl) * (h.rate.value / wr) * (wl + wr)
-                    out.append(t.Prefix(k.name, t.Rate(value, passive=True), par(k.body, h.body)))
-    return t.nest_right(out)
+# The redex of each law of A5-A15: the static operator at its root and
+# the shape of its operands.
+_REDEXES = {
+    "A5": "P |[S]| Q for sums of prefixes P and Q",
+    "A6": "P |[S]| 0",
+    "A7": "0 |[S]| P",
+    "A8": "0 |[S]| 0",
+    "A9": "0 / H",
+    "A10": "<a,r>.P / H with a in H",
+    "A11": "<a,r>.P / H with a not in H",
+    "A12": "(P1 + P2) / H",
+    "A13": "0[phi]",
+    "A14": "<a,r>.P[phi]",
+    "A15": "(P1 + P2)[phi]",
+}
 
 
-def _a6(term: t.Parallel) -> t.ProcessTerm:
-    # Context kept around continuations; see module docstring.
-    parts = _prefix_sum(term.left, "A6")
-    kept = [
-        t.Prefix(p.name, p.rate, t.Parallel(term.sync, p.body, t.NIL))
-        for p in parts
-        if p.name not in term.sync
-    ]
-    return t.nest_right(kept)
+def _static_law(x: t.ProcessTerm) -> str | None:
+    """The law of A5-A15 whose redex shape x has, if any."""
+    if isinstance(x, t.Parallel):
+        left_nil, right_nil = x.left == t.NIL, x.right == t.NIL
+        return "A8" if left_nil and right_nil else "A6" if right_nil else "A7" if left_nil else "A5"
+    if not isinstance(x, (t.Hide, t.Relabel)):
+        return None
+    hide = isinstance(x, t.Hide)
+    if x.body == t.NIL:
+        return "A9" if hide else "A13"
+    if isinstance(x.body, t.Choice):
+        return "A12" if hide else "A15"
+    if isinstance(x.body, t.Prefix):
+        return "A14" if not hide else "A10" if x.body.name in x.hidden else "A11"
+    return None
 
 
-def _a7(term: t.Parallel) -> t.ProcessTerm:
-    parts = _prefix_sum(term.right, "A7")
-    kept = [
-        t.Prefix(p.name, p.rate, t.Parallel(term.sync, t.NIL, p.body))
-        for p in parts
-        if p.name not in term.sync
-    ]
-    return t.nest_right(kept)
+def _operand_moves(term: t.ProcessTerm, law: str) -> list[tuple[Entry, int]]:
+    """The moves of a parallel operand that is nil or a sum of prefixes,
+    one per summand."""
+    if term == t.NIL:
+        return []
+    return [((p.name, p.rate, p.body), 1) for p in _prefix_sum(term, law)]
+
+
+def _static_summands(law: str, x: t.ProcessTerm) -> list[t.ProcessTerm]:
+    """The summands of the right-hand side of law, one of A5-A15, at a
+    redex x of its shape.  A5-A8 give the one-step moves of the
+    composition as prefixes; A9-A15 distribute the hiding or relabeling
+    over the nil, prefix or sum body."""
+    if isinstance(x, t.Parallel):
+        moves = compose_parallel(x, _operand_moves(x.left, law), _operand_moves(x.right, law))
+        return [t.Prefix(*move) for move, _ in moves]
+    body = x.body
+    if isinstance(body, t.Choice):
+        return [t.with_children(x, (body.left,)), t.with_children(x, (body.right,))]
+    if isinstance(body, t.Prefix):
+        return [t.Prefix(x.apply(body.name), body.rate, t.with_children(x, (body.body,)))]
+    return []
 
 
 def _rewrite(law: str, direction: str, x: t.ProcessTerm) -> t.ProcessTerm:
@@ -200,65 +210,11 @@ def _rewrite(law: str, direction: str, x: t.ProcessTerm) -> t.ProcessTerm:
         raise LawError(f"{law} is applied left-to-right only")
     if law == "A4":
         return _a4(x)
-    if law in ("A5", "A6", "A7", "A8"):
-        if not isinstance(x, t.Parallel):
-            raise LawError(f"{law} needs a parallel composition")
-        left_nil, right_nil = x.left == t.NIL, x.right == t.NIL
-        if law == "A8":
-            if left_nil and right_nil:
-                return t.NIL
-            raise LawError("A8 needs 0 |[S]| 0")
-        if law == "A6":
-            if right_nil and not left_nil:
-                return _a6(x)
-            raise LawError("A6 needs P |[S]| 0")
-        if law == "A7":
-            if left_nil and not right_nil:
-                return _a7(x)
-            raise LawError("A7 needs 0 |[S]| P")
-        if left_nil or right_nil:
-            raise LawError("A5 needs prefix sums on both sides")
-        return _a5(x)
-    if law in ("A9", "A10", "A11", "A12"):
-        if not isinstance(x, t.Hide):
-            raise LawError(f"{law} needs a hiding")
-        if law == "A9":
-            if x.body == t.NIL:
-                return t.NIL
-            raise LawError("A9 needs 0 / H")
-        if law == "A12":
-            if isinstance(x.body, t.Choice):
-                return t.Choice(
-                    t.Hide(x.hidden, x.body.left), t.Hide(x.hidden, x.body.right)
-                )
-            raise LawError("A12 needs (P1 + P2) / H")
-        if not isinstance(x.body, t.Prefix):
-            raise LawError(f"{law} needs a prefixed body")
-        inside = x.body.name in x.hidden
-        if law == "A10" and not inside:
-            raise LawError("A10 needs the name hidden")
-        if law == "A11" and inside:
-            raise LawError("A11 needs the name not hidden")
-        new_name = t.TAU if inside else x.body.name
-        return t.Prefix(new_name, x.body.rate, t.Hide(x.hidden, x.body.body))
-    if law in ("A13", "A14", "A15"):
-        if not isinstance(x, t.Relabel):
-            raise LawError(f"{law} needs a relabeling")
-        if law == "A13":
-            if x.body == t.NIL:
-                return t.NIL
-            raise LawError("A13 needs 0[phi]")
-        if law == "A15":
-            if isinstance(x.body, t.Choice):
-                return t.Choice(
-                    t.Relabel(x.mapping, x.body.left), t.Relabel(x.mapping, x.body.right)
-                )
-            raise LawError("A15 needs (P1 + P2)[phi]")
-        if not isinstance(x.body, t.Prefix):
-            raise LawError("A14 needs a prefixed body")
-        renamed = x.apply(x.body.name) if x.body.name != t.TAU else t.TAU
-        return t.Prefix(renamed, x.body.rate, t.Relabel(x.mapping, x.body.body))
-    raise LawError(f"unknown law {law!r}")
+    if law not in _REDEXES:
+        raise LawError(f"unknown law {law!r}")
+    if _static_law(x) != law:
+        raise LawError(f"{law} needs {_REDEXES[law]}")
+    return t.nest_right(_static_summands(law, x))
 
 
 def apply_law(term: t.ProcessTerm, step: RewriteStep) -> t.ProcessTerm:
@@ -316,44 +272,28 @@ def _expand(x: t.ProcessTerm, pos: Path | None, steps) -> t.ProcessTerm:
             _record(steps, "A3", pos)
             return right
         return t.Choice(left, right)
-    if isinstance(x, t.Parallel):
-        left = _expand(x.left, _at(pos, 0), steps)
-        right = _expand(x.right, _at(pos, 1), steps)
-        return _eliminate(t.Parallel(x.sync, left, right), pos, steps)
-    if isinstance(x, (t.Hide, t.Relabel)):
-        return _eliminate(t.with_children(x, [_expand(x.body, _at(pos, 0), steps)]), pos, steps)
+    if isinstance(x, (t.Parallel, t.Hide, t.Relabel)):
+        kids = [_expand(k, _at(pos, i), steps) for i, k in enumerate(t.children(x))]
+        return _eliminate(t.with_children(x, kids), pos, steps)
     return x
 
 
 def _eliminate(x: t.ProcessTerm, pos: Path | None, steps) -> t.ProcessTerm:
     """Eliminate the static operator at the root of x, whose operands are
     already expanded, one A5-A15 application at a time."""
+    law = _static_law(x)
     binding: tuple[tuple[str, str], ...] = ()
-    if isinstance(x, t.Parallel):
-        left_nil, right_nil = x.left == t.NIL, x.right == t.NIL
-        law = "A8" if left_nil and right_nil else "A6" if right_nil else "A7" if left_nil else "A5"
-    elif x.body == t.NIL:
-        law = "A9" if isinstance(x, t.Hide) else "A13"
-    elif isinstance(x.body, t.Choice):
-        law = "A12" if isinstance(x, t.Hide) else "A15"
-    else:
-        law = "A14" if isinstance(x, t.Relabel) else "A10" if x.body.name in x.hidden else "A11"
-        if steps is not None:
-            binding = (("name", x.body.name),)
-    result = _rewrite(law, "lr", x)
+    if steps is not None and law in ("A10", "A11", "A14"):
+        binding = (("name", x.body.name),)
+    parts = _static_summands(law, x)
     _record(steps, law, pos, binding=binding)
-    if law in ("A12", "A15"):
-        return t.Choice(_eliminate(result.left, _at(pos, 0), steps),
-                        _eliminate(result.right, _at(pos, 1), steps))
-    if result == t.NIL:
-        return result
-    # A5-A7, A10, A11 and A14 give a sum of prefixes whose continuations
-    # are static operators over expanded operands; they are eliminated
-    # directly, without walking the operands again
-    parts = t.summand_list(result)
+    # the summands are static operators (A12, A15) or prefixes whose
+    # continuations are (A5-A7, A10, A11, A14), over expanded operands;
+    # they are eliminated directly, without walking the operands again
     n = len(parts)
     return t.nest_right([
-        t.Prefix(p.name, p.rate, _eliminate(p.body, _at(_summand_at(pos, i, n), 0), steps))
+        _eliminate(p, _summand_at(pos, i, n), steps) if law in ("A12", "A15")
+        else t.Prefix(p.name, p.rate, _eliminate(p.body, _at(_summand_at(pos, i, n), 0), steps))
         for i, p in enumerate(parts)
     ])
 

@@ -22,12 +22,16 @@ from typing import Sequence
 from . import terms as t
 from .axioms import LAW_IDS, RewriteStep, a4_merge, apply_law, replace_at, subterm_at
 from .errors import CalcError, LawError
-from .semantics import build_lts
+from .semantics import LMTS, build_lts
 
 RATE_POOL = tuple(Fraction(n, m) for n, m in
                   ((1, 2), (1, 1), (3, 2), (2, 1), (3, 1), (5, 1), (1, 3)))
 WEIGHT_POOL = tuple(Fraction(n) for n in (1, 2, 3))
 ATTEMPTS = 400  # draws a generator makes before it gives up
+# Nodes one grammar walk may make.  A walk of depth d makes at most
+# 2**(d+1) - 1 nodes, 31 at depth 4, so seeded draws up to depth 4 never
+# reach it.
+NODE_BUDGET = 64
 
 
 class GenerationError(CalcError):
@@ -42,54 +46,72 @@ def _passive(rng: Random) -> t.Rate:
     return t.Rate(rng.choice(WEIGHT_POOL), passive=True)
 
 
-def _analyzable(term: t.ProcessTerm, max_states: int, tau: bool = True) -> bool:
+def _analyzable(term: t.ProcessTerm, max_states: int, tau: bool = True) -> LMTS | None:
+    """The LMTS of term if it is performance-closed and has at most
+    max_states states (and no tau move, with tau=False), else None."""
     try:
         lts = build_lts(term, state_bound=max(max_states, 2))
     except CalcError:
-        return False
+        return None
     if not tau and any(tr.name == t.TAU for tr in lts.transitions()):
-        return False
-    return lts.performance_closed and len(lts.states) <= max_states
+        return None
+    return lts if lts.performance_closed and len(lts.states) <= max_states else None
+
+
+class _OverBudget(Exception):
+    """A grammar walk would make more than NODE_BUDGET nodes."""
 
 
 def _grow(rng: Random, names: Sequence[str], depth: int, tau: bool,
           static_ops: bool) -> t.ProcessTerm:
-    if depth <= 0:
-        return t.NIL
-    roll = rng.random()
-    if roll < 0.08:
-        return t.NIL
-    if roll < 0.60 or not static_ops:
-        pool = list(names) + ([t.TAU] if tau else [])
-        return t.Prefix(rng.choice(pool), _rate(rng),
-                        _grow(rng, names, depth - 1, tau, static_ops))
-    if roll < 0.82:
-        return t.Choice(_grow(rng, names, depth - 1, tau, static_ops),
-                        _grow(rng, names, depth - 1, tau, static_ops))
-    if roll < 0.90:
-        sync = frozenset(n for n in names if rng.random() < 0.4)
-        return t.Parallel(sync,
-                          _grow(rng, names, depth - 1, tau, static_ops),
-                          _grow(rng, names, depth - 1, tau, static_ops))
-    if roll < 0.95:
-        hidden = frozenset(n for n in names if rng.random() < 0.4)
-        return t.Hide(hidden, _grow(rng, names, depth - 1, tau, static_ops))
-    mapping = tuple((n, rng.choice(names)) for n in names if rng.random() < 0.5)
-    return t.Relabel(mapping, _grow(rng, names, depth - 1, tau, static_ops))
+    """A random term of at most the given depth.  The walk expects about
+    1.2 children per node, so deep draws can grow without end; it raises
+    _OverBudget when it would make more than NODE_BUDGET nodes."""
+    nodes = 0
+
+    def grow(depth: int) -> t.ProcessTerm:
+        nonlocal nodes
+        nodes += 1
+        if nodes > NODE_BUDGET:
+            raise _OverBudget
+        if depth <= 0:
+            return t.NIL
+        roll = rng.random()
+        if roll < 0.08:
+            return t.NIL
+        if roll < 0.60 or not static_ops:
+            pool = list(names) + ([t.TAU] if tau else [])
+            return t.Prefix(rng.choice(pool), _rate(rng), grow(depth - 1))
+        if roll < 0.82:
+            return t.Choice(grow(depth - 1), grow(depth - 1))
+        if roll < 0.90:
+            sync = frozenset(n for n in names if rng.random() < 0.4)
+            return t.Parallel(sync, grow(depth - 1), grow(depth - 1))
+        if roll < 0.95:
+            hidden = frozenset(n for n in names if rng.random() < 0.4)
+            return t.Hide(hidden, grow(depth - 1))
+        mapping = tuple((n, rng.choice(names)) for n in names if rng.random() < 0.5)
+        return t.Relabel(mapping, grow(depth - 1))
+
+    return grow(depth)
 
 
 def random_term(rng: Random, names: Sequence[str] = ("a", "b"), depth: int = 3,
-                max_states: int = 8, tau: bool = True, static_ops: bool = True
-                ) -> t.ProcessTerm:
+                max_states: int = 8, tau: bool = True) -> t.ProcessTerm:
     """A random closed guarded performance-closed term.
 
     Exponential rates only, so performance closure holds by construction
     and the retry loop mostly enforces the state budget.  With tau=False
     the term has no internal move at all: tau is left out of the prefixes,
     and candidates whose hiding turns visible moves into tau are redrawn.
+    Draws past NODE_BUDGET nodes are redrawn too, which only happens
+    above depth 4.
     """
     for _ in range(ATTEMPTS):
-        candidate = _grow(rng, names, depth, tau, static_ops)
+        try:
+            candidate = _grow(rng, names, depth, tau, True)
+        except _OverBudget:
+            continue
         if candidate == t.NIL:
             continue
         if _analyzable(candidate, max_states, tau):
@@ -150,11 +172,10 @@ def _perturb(rng: Random, term: t.ProcessTerm) -> t.ProcessTerm | None:
 
 
 def random_pair(rng: Random, names: Sequence[str] = ("a", "b"), depth: int = 3,
-                max_states: int = 8, tau: bool = True,
-                static_ops: bool = True) -> PairSample:
+                max_states: int = 8, tau: bool = True) -> PairSample:
     """One corpus pair: independent draws, a sound-law twin, or a
     rate-perturbed twin."""
-    left = random_term(rng, names, depth, max_states, tau, static_ops)
+    left = random_term(rng, names, depth, max_states, tau)
     roll = rng.random()
     if roll < 0.4:
         steps = sound_steps(left)
@@ -165,7 +186,7 @@ def random_pair(rng: Random, names: Sequence[str] = ("a", "b"), depth: int = 3,
         bumped = _perturb(rng, left)
         if bumped is not None and _analyzable(bumped, max_states):
             return PairSample(left, bumped, "perturbed")
-    right = random_term(rng, names, depth, max_states, tau, static_ops)
+    right = random_term(rng, names, depth, max_states, tau)
     return PairSample(left, right, "random")
 
 
@@ -351,23 +372,15 @@ def deadlock_free_term(rng: Random, horizon: int = 5,
 
     for _ in range(ATTEMPTS):
         candidate = alive(horizon)
-        if not _analyzable(candidate, max_states):
+        lts = _analyzable(candidate, max_states)
+        if lts is None:
             continue
-        lts = build_lts(candidate, state_bound=max_states)
-        frontier = {lts.state_of(lts.root)}
-        ok = True
+        frontier = {0}
         for _ in range(horizon):
-            nxt = set()
-            for state in frontier:
-                moves = lts.outgoing[state]
-                if not moves:
-                    ok = False
-                    break
-                nxt.update(lts.state_of(tr.target) for tr in moves)
-            if not ok:
+            if not all(lts.moves[state] for state in frontier):
                 break
-            frontier = nxt
-        if ok:
+            frontier = {target for state in frontier for _, _, target in lts.moves[state]}
+        else:
             return candidate
     raise GenerationError("no deadlock-free term found")
 

@@ -5,12 +5,18 @@ parallel composition with asymmetric synchronization, hiding, relabeling
 and recursion.  A transition's multiplicity is the number of distinct
 derivation proofs, so <a,1>.0 + <a,1>.0 has the a-transition twice.
 
+This module is the one place that says how a static operator moves:
+compose_parallel is the parallel rule over the operands' moves, and
+Hide.apply and Relabel.apply rename the moves of hiding and relabeling.
+The expansion laws A5-A8 of axioms feed compose_parallel with the
+operands' prefix summands, one move each.
+
 Synchronization discipline: an exponentially timed action <a,lambda> may
 only synchronize with a passive action <a,*w> of the other operand, and
-the result is timed lambda * w / weight(other, a) (reactive preselection).
-Two passive actions synchronize into a passive action whose weight is
-norm(w1, w2, a, P, Q) = (w1/weight(P,a)) * (w2/weight(Q,a))
-                        * (weight(P,a) + weight(Q,a)).
+the result is timed lambda * w / W where W is the other operand's total
+passive a-weight (reactive preselection).  Two passive actions
+synchronize into a passive action whose weight is
+norm(w1, w2) = (w1/W1) * (w2/W2) * (W1 + W2).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import dataclasses as d
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import Iterator, Sequence
 
 from . import terms as t
 from .errors import NotWellFormed, StateBoundExceeded
@@ -52,15 +59,14 @@ def _derive(term: t.ProcessTerm) -> Counter[Entry]:
         out.update(_derive_cached(term.right))
         return out
     if isinstance(term, t.Parallel):
-        return _derive_parallel(term)
-    if isinstance(term, t.Hide):
-        for (name, rate, target), count in derive_transitions(term.body):
-            mapped = t.TAU if name in term.hidden else name
-            out[(mapped, rate, t.Hide(term.hidden, target))] += count
+        moves = compose_parallel(term, derive_transitions(term.left),
+                                 derive_transitions(term.right))
+        for entry, count in moves:
+            out[entry] += count
         return out
-    if isinstance(term, t.Relabel):
+    if isinstance(term, (t.Hide, t.Relabel)):
         for (name, rate, target), count in derive_transitions(term.body):
-            out[(term.apply(name), rate, t.Relabel(term.mapping, target))] += count
+            out[(term.apply(name), rate, t.with_children(term, (target,)))] += count
         return out
     if isinstance(term, t.Rec):
         if not t.check_wellformed(term).guarded:
@@ -75,17 +81,23 @@ def _derive_cached(term: t.ProcessTerm) -> Counter[Entry]:
     return Counter(dict(derive_transitions(term)))
 
 
-def _derive_parallel(term: t.Parallel) -> Counter[Entry]:
-    out: Counter[Entry] = Counter()
+def compose_parallel(
+    term: t.Parallel,
+    left: Sequence[tuple[Entry, int]],
+    right: Sequence[tuple[Entry, int]],
+) -> Iterator[tuple[Entry, int]]:
+    """The moves of term from the moves left and right of its operands,
+    in order: the left operand's free moves, the right operand's, then
+    the synchronizations per sync name.  Nothing is aggregated: each
+    free operand move gives one move, and each pair of same-named moves
+    on a sync name at most one."""
     sync = term.sync
-    left = derive_transitions(term.left)
-    right = derive_transitions(term.right)
     for (name, rate, target), count in left:
         if name not in sync:
-            out[(name, rate, t.Parallel(sync, target, term.right))] += count
+            yield (name, rate, t.Parallel(sync, target, term.right)), count
     for (name, rate, target), count in right:
         if name not in sync:
-            out[(name, rate, t.Parallel(sync, term.left, target))] += count
+            yield (name, rate, t.Parallel(sync, term.left, target)), count
     for name in sorted(sync):
         lefts = [(rate, target, count) for (a, rate, target), count in left if a == name]
         rights = [(rate, target, count) for (a, rate, target), count in right if a == name]
@@ -98,28 +110,15 @@ def _derive_parallel(term: t.Parallel) -> Counter[Entry]:
                 if not lrate.passive and not rrate.passive:
                     continue  # two timed actions never synchronize
                 if not lrate.passive:
-                    value = lrate.value * rrate.value / weight_right
-                    rate = t.Rate(value)
+                    rate = t.Rate(lrate.value * rrate.value / weight_right)
                 elif not rrate.passive:
-                    value = rrate.value * lrate.value / weight_left
-                    rate = t.Rate(value)
+                    rate = t.Rate(rrate.value * lrate.value / weight_left)
                 else:
                     value = (lrate.value / weight_left) * (rrate.value / weight_right) * (
                         weight_left + weight_right
                     )
                     rate = t.Rate(value, passive=True)
-                combined = t.Parallel(sync, ltarget, rtarget)
-                out[(name, rate, combined)] += lcount * rcount
-    return out
-
-
-def weight(term: t.ProcessTerm, name: str) -> Fraction:
-    """Total passive weight of name-transitions, multiplicities included."""
-    total = Fraction(0)
-    for (a, rate, _), count in derive_transitions(term):
-        if a == name and rate.passive:
-            total += rate.value * count
-    return total
+                yield (name, rate, t.Parallel(sync, ltarget, rtarget)), lcount * rcount
 
 
 @lru_cache(maxsize=None)

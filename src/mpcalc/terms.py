@@ -110,6 +110,9 @@ class Hide(ProcessTerm):
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden", frozenset(self.hidden))
 
+    def apply(self, name: str) -> str:
+        return TAU if name in self.hidden else name
+
 
 @d.dataclass(frozen=True, eq=True)
 class Relabel(ProcessTerm):

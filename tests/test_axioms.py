@@ -100,7 +100,7 @@ def _replay(term, steps):
 
 
 _static_terms = st.integers(0, 10**9).map(
-    lambda seed: random_term(Random(seed), depth=3, max_states=12, static_ops=True))
+    lambda seed: random_term(Random(seed), depth=3, max_states=12))
 
 
 @settings(max_examples=50, deadline=None)
@@ -118,7 +118,7 @@ def test_trace_replays_to_the_normal_form(source):
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**9))
 def test_normalize_idempotent(seed):
-    term = random_term(Random(seed), depth=3, max_states=12, static_ops=True)
+    term = random_term(Random(seed), depth=3, max_states=12)
     normal = normalize(term)
     assert normalize(normal) == normal
 
@@ -143,6 +143,16 @@ def test_each_law_generates_sound_instances():
             instance, step = law_instance(rng, law)
             rewritten = apply_law(instance, step)
             assert decide_equiv(instance, rewritten).equivalent
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(LAW_IDS[4:]), st.integers(0, 10**9))
+def test_static_laws_rewrite_to_the_same_moves(law, seed):
+    # A5-A15 rewrite a redex into a term with exactly its one-step moves
+    instance, step = law_instance(Random(seed), law)
+    rewritten = apply_law(instance, step)
+    assert Counter(dict(derive_transitions(rewritten))) == \
+        Counter(dict(derive_transitions(instance)))
 
 
 def test_sound_steps_enumerate_applicable_rewrites():

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +207,18 @@ def test_conflicting_relabeling_exits_two(capsys):
 def test_reserved_or_missing_names_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_deep_corpus_ends():
+    # a separate process, so that a walk that never ends fails the test
+    # instead of hanging the suite
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "mpcalc.cli", "corpus", "--count", "3",
+                           "--depth", "200"], env=env, capture_output=True, text=True,
+                          timeout=30)
+    assert done.returncode in (0, 2), done.stderr
 
 
 def test_corpus_of_tau_moves_needs_no_names(capsys):

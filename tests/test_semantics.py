@@ -6,13 +6,18 @@ from fractions import Fraction
 import pytest
 
 from mpcalc import terms as t
+from mpcalc.axioms import RewriteStep, apply_law
 from mpcalc.errors import StateBoundExceeded
 from mpcalc.parser import parse_term
 from mpcalc.semantics import build_lts, derive_transitions, export_dot, export_json
 
 
-def _entries(source):
+def _entries(source, law=None):
+    """The transitions of source, or with a law of A5-A8 those of its
+    rewrite, whose prefix summands are the moves the law computed."""
     term = parse_term(source)
+    if law is not None:
+        term = apply_law(term, RewriteStep(law))
     return {(name, str(rate), str(target)): count
             for (name, rate, target), count in derive_transitions(term)}
 
@@ -30,39 +35,84 @@ def test_race_between_distinct_actions():
 
 
 def test_interleaving_keeps_parallel_context():
-    entries = _entries("<a,1>.0 |[]| <b,2>.0")
-    assert entries == {
+    source = "<a,1>.0 |[]| <b,2>.0"
+    assert _entries(source) == _entries(source, "A5") == {
         ("a", "1", "0 |[]| <b,2>.0"): 1,
         ("b", "2", "<a,1>.0 |[]| 0"): 1,
     }
 
 
+# The rates below are computed by hand; the expansion law A5 must carry
+# the same literal rates as the transition rules.
+
 def test_generative_reactive_synchronization():
     # exp <a,3> against two passive branches *1 and *2: rate splits 3*w/W
-    entries = _entries("<a,3>.0 |[a]| (<a,*1>.0 + <a,*2>.0)")
-    assert entries == {
+    source = "<a,3>.0 |[a]| (<a,*1>.0 + <a,*2>.0)"
+    assert _entries(source) == _entries(source, "A5") == {
         ("a", "1", "0 |[a]| 0"): 1,
         ("a", "2", "0 |[a]| 0"): 1,
+    }
+
+
+def test_reactive_generative_synchronization():
+    # the mirror image: passive *1 and *2 on the left, W = 3, against <a,3>
+    source = "(<a,*1>.0 + <a,*2>.<b,1>.0) |[a]| <a,3>.0"
+    assert _entries(source) == _entries(source, "A5") == {
+        ("a", "1", "0 |[a]| 0"): 1,
+        ("a", "2", "<b,1>.0 |[a]| 0"): 1,
     }
 
 
 def test_reactive_reactive_normalization():
     # norm(v,w) = (v/W_P)(w/W_Q)(W_P + W_Q) stays passive
     # norm(1,2) = (1/4)(2/2)(4+2) = 3/2, norm(3,2) = (3/4)(2/2)(6) = 9/2
-    entries = _entries("(<a,*1>.0 + <a,*3>.0) |[a]| <a,*2>.0")
-    assert entries == {
+    source = "(<a,*1>.0 + <a,*3>.0) |[a]| <a,*2>.0"
+    assert _entries(source) == _entries(source, "A5") == {
         ("a", "*3/2", "0 |[a]| 0"): 1,
         ("a", "*9/2", "0 |[a]| 0"): 1,
     }
 
 
+def test_two_sync_names_split_by_their_own_weights():
+    # a: W = 1 + 3 on the right, 2*1/4 and 2*3/4; b: W = 1 + 3 on the left
+    source = ("(<a,2>.0 + <b,*1>.0 + <b,*3>.<c,1>.0) |[a,b]|"
+              " (<a,*1>.0 + <a,*3>.<c,1>.0 + <b,4>.0)")
+    assert _entries(source) == _entries(source, "A5") == {
+        ("a", "1/2", "0 |[a,b]| 0"): 1,
+        ("a", "3/2", "0 |[a,b]| <c,1>.0"): 1,
+        ("b", "1", "0 |[a,b]| 0"): 1,
+        ("b", "3", "<c,1>.0 |[a,b]| 0"): 1,
+    }
+
+
+def test_timed_and_passive_summands_on_both_sides():
+    # W_P = 1, W_Q = 2; <a,2> takes *2 at 2*2/2, <a,3> takes *1 at 3*1/1,
+    # *1 and *2 give norm(1,2) = (1/1)(2/2)(1+2) = 3, and <a,2>, <a,3>
+    # never meet
+    source = "(<a,2>.<b,1>.0 + <a,*1>.0) |[a]| (<a,3>.0 + <a,*2>.<c,1>.0)"
+    assert _entries(source) == _entries(source, "A5") == {
+        ("a", "2", "<b,1>.0 |[a]| <c,1>.0"): 1,
+        ("a", "3", "0 |[a]| 0"): 1,
+        ("a", "*3", "0 |[a]| <c,1>.0"): 1,
+    }
+
+
+def test_synchronization_counts_multiplicity():
+    # each copy of <a,1> takes *2 (W = 2) at 1*2/2; <a,2> splits over the
+    # two copies of *1 (W = 2) at 2*1/2 each
+    for source in ("(<a,1>.0 + <a,1>.0) |[a]| <a,*2>.0",
+                   "<a,2>.0 |[a]| (<a,*1>.0 + <a,*1>.0)"):
+        assert _entries(source) == _entries(source, "A5") == {("a", "1", "0 |[a]| 0"): 2}
+
+
 def test_blocked_synchronization_has_no_transition():
     # b is outside the sync set, so the passive b moves on its own
-    assert _entries("<a,3>.0 |[a]| <b,*1>.0") == {
+    source = "<a,3>.0 |[a]| <b,*1>.0"
+    assert _entries(source) == _entries(source, "A5") == {
         ("b", "*1", "<a,3>.0 |[a]| 0"): 1,
     }
     # passive alone cannot move inside the sync set
-    assert _entries("<a,*1>.0 |[a]| 0") == {}
+    assert _entries("<a,*1>.0 |[a]| 0") == _entries("<a,*1>.0 |[a]| 0", "A6") == {}
 
 
 def test_hiding_renames_to_tau_and_keeps_rate():
