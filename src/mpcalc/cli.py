@@ -264,9 +264,23 @@ _COMMANDS = {
 }
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--state-bound", type=int, default=10000,
+    common.add_argument("--state-bound", type=_at_least(1), default=10000,
                         help="largest explorable state space; for eval-test, "
                         "of the process alone, not of its interaction with "
                         "the test (default 10000)")
@@ -328,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", parents=[common],
                        help="seeded random terms or term pairs")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_at_least(0), default=10)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--max-states", type=int, default=8)
     p.add_argument("--names", default="a,b")

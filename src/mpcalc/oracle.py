@@ -18,6 +18,19 @@ and the two are cross-checked in the test suite.
 search_witness is the one test loop.  The oracles run it on the LMTSs
 they build from the terms; the decider runs it on the LMTSs it decided
 on, to turn an inequivalence into a distinguishing (test, theta) pair.
+
+Most tests of a search cannot be passed: their success path asks for
+names in an order that the process never offers.  Such a test has no
+successful computation on either side, so its measures are empty at
+every length and cannot differ; the loop counts it in tests_checked and
+skips it without measuring.  Whether a product state (process state,
+test node) can still reach a successful test node is memoized per side
+over the whole search.  The process's tau moves, which leave the test
+node where it is, are folded into a per-state closure, so the recursion
+only goes down the test and ends.  Canonical tests share the nodes of
+their continuations, so the memo answers for them across tests; each
+test's root is asked once and not stored, so nothing keeps a test after
+it is consumed.
 """
 
 from __future__ import annotations
@@ -29,8 +42,9 @@ from itertools import product as cartesian
 
 from . import terms as t
 from .computations import breakpoint_grid
+from .errors import CalcError, NotPerformanceClosed
 from .semantics import LMTS, build_lts
-from .testing import InteractionProduct, Test, canonical_tests, flavored_tests
+from .testing import InteractionProduct, Test, TestState, canonical_tests, flavored_tests
 
 Vector = tuple[Fraction, ...]
 Measure = dict[Vector, Fraction]
@@ -39,29 +53,31 @@ Measure = dict[Vector, Fraction]
 def successful_measures(lts: LMTS, test: Test, max_len: int) -> list[Measure]:
     """Probability mass of successful computations of each exact length,
     grouped by their stepwise sojourn-time vectors."""
-    product = InteractionProduct(lts, test)
-    states = test.states
-    cache: dict[tuple[int, t.ProcessTerm, bool, int], Measure] = {}
+    if max_len < 0:
+        raise CalcError(f"computation length must be at least 0, got {max_len}")
+    product = InteractionProduct(lts)
+    cache: dict[tuple[int, TestState, bool, int], Measure] = {}
+    return [_measure(product, cache, 0, test.root, False, length) for length in range(max_len + 1)]
 
-    def measure(state: int, node: t.ProcessTerm, seen: bool, budget: int) -> Measure:
-        seen = seen or states[node].successful
-        if not seen and not states[node].live:
-            return {}
-        if budget == 0:
-            return {(): Fraction(1)} if seen else {}
-        key = (state, node, seen, budget)
-        if key in cache:
-            return cache[key]
-        out: Measure = {}
-        sojourn, branches = product.step(state, node)
-        for share, state2, node2 in branches:
-            for vector, mass in measure(state2, node2, seen, budget - 1).items():
-                key2 = (sojourn,) + vector
-                out[key2] = out.get(key2, Fraction(0)) + share * mass
-        cache[key] = out
-        return out
 
-    return [measure(0, test.term, False, length) for length in range(max_len + 1)]
+def _measure(product: InteractionProduct, cache: dict, state: int, node: TestState,
+             seen: bool, budget: int) -> Measure:
+    seen = seen or node.successful
+    if not seen and not node.live:
+        return {}
+    if budget == 0:
+        return {(): Fraction(1)} if seen else {}
+    key = (state, node, seen, budget)
+    if key in cache:
+        return cache[key]
+    out: Measure = {}
+    sojourn, branches = product.step(state, node)
+    for share, state2, node2 in branches:
+        for vector, mass in _measure(product, cache, state2, node2, seen, budget - 1).items():
+            key2 = (sojourn,) + vector
+            out[key2] = out.get(key2, Fraction(0)) + share * mass
+    cache[key] = out
+    return out
 
 
 def passing_probability(measures: list[Measure], theta: Vector) -> Fraction:
@@ -111,15 +127,85 @@ def environment_tests(lts1: LMTS, lts2: LMTS, depth: int) -> Iterator[Test]:
     return canonical_tests(sorted(lts1.visible_names() | lts2.visible_names()), depth)
 
 
+class _Side:
+    """One process of a witness search, with a memo, kept over the whole
+    search, of whether a product state (process state, test node) can
+    reach a successful test node.  Tau moves of the process are folded
+    into a per-state closure, so every step of the recursion goes down
+    the test.  Canonical tests share their continuations' nodes, so the
+    memo answers for them across tests; a test's root is not memoized."""
+
+    def __init__(self, lts: LMTS):
+        if not lts.performance_closed:
+            raise NotPerformanceClosed("the process under test is not performance-closed")
+        self.lts = lts
+        self._moves = lts.moves
+        self._closures: dict[int, tuple[int, ...]] = {}
+        self._memo: dict[tuple[int, TestState], bool] = {}
+
+    def can_pass(self, test: Test) -> bool:
+        return self._passable(0, test.root)
+
+    def _reaches(self, state: int, node: TestState) -> bool:
+        key = (state, node)
+        known = self._memo.get(key)
+        if known is None:
+            known = self._memo[key] = self._passable(state, node)
+        return known
+
+    def _passable(self, state: int, node: TestState) -> bool:
+        if node.successful or not node.live:
+            return node.successful
+        for source in self._closure(state):
+            for name, _, target in self._moves[source]:
+                if name != t.TAU:
+                    for sname, srate, body in node.summands:
+                        if sname == name and srate.passive and self._reaches(target, body):
+                            return True
+            for sname, srate, body in node.summands:
+                if sname == t.TAU and not srate.passive and self._reaches(source, body):
+                    return True
+        return False
+
+    def _closure(self, state: int) -> tuple[int, ...]:
+        """state and every state its tau moves reach."""
+        closure = self._closures.get(state)
+        if closure is None:
+            seen = {state}
+            stack = [state]
+            while stack:
+                for name, _, target in self._moves[stack.pop()]:
+                    if name == t.TAU and target not in seen:
+                        seen.add(target)
+                        stack.append(target)
+            closure = self._closures[state] = tuple(seen)
+        return closure
+
+
+def _measures(sides: tuple[_Side, _Side], test: Test,
+              max_len: int) -> tuple[list[Measure], ...] | None:
+    """successful_measures of the test on both sides, or None when neither
+    side can reach success with it: then both are empty at every length."""
+    if not any(side.can_pass(test) for side in sides):
+        return None
+    return tuple(successful_measures(side.lts, test, max_len) for side in sides)
+
+
 def search_witness(lts1: LMTS, lts2: LMTS, tests: Iterable[Test], max_len: int) -> OracleVerdict:
     """Run the tests in order against both processes and return the first
     one whose successful-computation measures differ at some length up to
     max_len, with a minimal differing vector of the shortest such length
-    as theta.  tests_checked counts the tests taken from the iterable."""
+    as theta.  tests_checked counts the tests taken from the iterable,
+    the ones that neither process can pass included."""
+    if max_len < 0:
+        raise CalcError(f"computation length must be at least 0, got {max_len}")
+    sides = (_Side(lts1), _Side(lts2))
     checked = 0
     for checked, test in enumerate(tests, 1):
-        m1 = successful_measures(lts1, test, max_len)
-        m2 = successful_measures(lts2, test, max_len)
+        measures = _measures(sides, test, max_len)
+        if measures is None:
+            continue
+        m1, m2 = measures
         for length in range(max_len + 1):
             theta = _minimal_difference(m1[length], m2[length])
             if theta is not None:
@@ -181,10 +267,13 @@ def old_style_oracle(
                     total += mass
         return total
 
+    sides = (_Side(lts1), _Side(lts2))
     checked = 0
     for checked, test in enumerate(tests, 1):
-        m1 = successful_measures(lts1, test, depth)
-        m2 = successful_measures(lts2, test, depth)
+        measures = _measures(sides, test, depth)
+        if measures is None:
+            continue
+        m1, m2 = measures
         position_values: list[list[Fraction]] = [[] for _ in range(depth)]
         for side in (m1, m2):
             for length_measure in side:

@@ -51,8 +51,10 @@ class ProcessTerm:
             return self._hash  # type: ignore[attr-defined]
         except AttributeError:
             pass
-        fields = tuple(getattr(self, f.name) for f in d.fields(self))  # type: ignore[arg-type]
-        value = hash((self.__class__.__name__, fields))
+        # a dataclass's __match_args__ names its fields in order, as
+        # dataclasses.fields would, without building Field lists
+        names = self.__match_args__  # type: ignore[attr-defined]
+        value = hash((self.__class__.__name__, tuple([getattr(self, name) for name in names])))
         object.__setattr__(self, "_hash", value)
         return value
 
@@ -297,24 +299,18 @@ def substitute(term: ProcessTerm, var: str, replacement: ProcessTerm) -> Process
 def alpha_normalize(term: ProcessTerm) -> ProcessTerm:
     """Rename recursion binders to canonical names X1, X2, ... by binder
     nesting depth, so alpha-equivalent closed terms become identical."""
-    free = free_vars(term)
+    return _alpha(term, {}, 0, free_vars(term))
 
-    def fresh(depth: int) -> str:
-        name = f"X{depth}"
+
+def _alpha(term: ProcessTerm, env: dict[str, str], depth: int, free: frozenset[str]) -> ProcessTerm:
+    if isinstance(term, Var):
+        return Var(env.get(term.name, term.name))
+    if isinstance(term, Rec):
+        name = f"X{depth + 1}"
         while name in free:
             name += "_"
-        return name
-
-    def go(t: ProcessTerm, env: dict[str, str], depth: int) -> ProcessTerm:
-        if isinstance(t, Var):
-            return Var(env.get(t.name, t.name))
-        if isinstance(t, Rec):
-            name = fresh(depth + 1)
-            body = go(t.body, {**env, t.var: name}, depth + 1)
-            return Rec(name, body)
-        return with_children(t, [go(child, env, depth) for child in children(t)])
-
-    return go(term, {}, 0)
+        return Rec(name, _alpha(term.body, {**env, term.var: name}, depth + 1, free))
+    return with_children(term, [_alpha(child, env, depth, free) for child in children(term)])
 
 
 # Pretty printing.  Binding strength, tightest first: prefix, then hiding

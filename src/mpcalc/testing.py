@@ -16,12 +16,14 @@ a successful configuration anywhere, origin included; computations may
 extend past success, which matters for timed silent moves.
 
 This module makes the tests: a Test checks the grammar of its flavor
-and indexes its states in one walk when it is made, canonical_tests
-builds the canonical reactive tests as they are consumed, and
-flavored_tests turns them into their liberal or tau variants.  It also
+and indexes its nodes into linked TestStates in one walk when it is
+made, canonical_tests builds the canonical reactive tests as they are
+consumed, and flavored_tests turns them into their liberal or tau
+variants.  Both index only the nodes a test adds to the tests made
+before it: a canonical test's root, a variant's edited path.  It also
 owns the interaction product: InteractionProduct steps a process LMTS
-and a test's state index together, and both prob_pass (one forward
-pass, pruned by theta) and the oracle's successful_measures run on it.
+and a test's states together, and both prob_pass (one forward pass,
+pruned by theta) and the oracle's successful_measures run on it.
 The term-level route (interaction, interaction_lts,
 successful_computations, then computations.prob_set) composes the
 interaction term and enumerates its computations one by one; it follows
@@ -45,13 +47,14 @@ from .semantics import LMTS, build_lts
 FLAVORS = ("reactive", "liberal", "tau")
 
 
-@d.dataclass(frozen=True)
+@d.dataclass(frozen=True, eq=False)
 class TestState:
-    """A state of a test: its prefix summands (name, rate, body), whether s
-    is a summand, and whether success is still reachable, given that z
-    never synchronizes."""
+    """A node of a test: its prefix summands (name, rate, state of the
+    body), whether s is a summand, and whether success is still
+    reachable, given that z never synchronizes.  States compare and hash
+    by identity, so tests built on a shared subtree share its states."""
 
-    summands: tuple[tuple[str, t.Rate, t.ProcessTerm], ...]
+    summands: tuple[tuple[str, t.Rate, TestState], ...]
     successful: bool
     live: bool
 
@@ -59,16 +62,17 @@ class TestState:
 @d.dataclass(frozen=True)
 class Test:
     """A test term of the given flavor, checked against its grammar when it
-    is made.  states maps each state of the test to its TestState."""
+    is made.  root is the TestState of the term, linked to the states
+    of all its nodes."""
 
     term: t.ProcessTerm
     flavor: str = "reactive"
-    states: dict[t.ProcessTerm, TestState] = d.field(init=False, repr=False, compare=False)
+    root: TestState = d.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.flavor not in FLAVORS:
             raise ValueError(f"unknown test flavor {self.flavor!r}")
-        object.__setattr__(self, "states", _index(self.term, self.flavor))
+        object.__setattr__(self, "root", _index(self.term, self.flavor, {}))
 
     def __str__(self) -> str:
         return t.pretty(self.term)
@@ -77,47 +81,53 @@ class Test:
 make_test = Test
 
 
+def _test_on(term: t.ProcessTerm, flavor: str, known: dict[t.ProcessTerm, TestState]) -> Test:
+    """Test(term, flavor), reusing the states in known instead of indexing
+    those nodes again; the flavor must be a known one."""
+    test = object.__new__(Test)
+    object.__setattr__(test, "term", term)
+    object.__setattr__(test, "flavor", flavor)
+    object.__setattr__(test, "root", _index(term, flavor, known))
+    return test
+
+
 def is_successful_projection(term: t.ProcessTerm) -> bool:
     return any(isinstance(s, t.Success) for s in t.summand_list(term))
 
 
-def _index(term: t.ProcessTerm, flavor: str) -> dict[t.ProcessTerm, TestState]:
-    """The states of a test, in one walk that also checks the grammar of
-    its flavor; NotWellFormed names the first rule broken."""
-    states: dict[t.ProcessTerm, TestState] = {}
-
-    def visit(node: t.ProcessTerm) -> TestState:
-        if node in states:
-            return states[node]
-        parts = t.summand_list(node)
-        successful = live = False
-        summands = []
-        for part in parts:
-            if isinstance(part, t.Success):
-                if len(parts) > 1 and flavor != "liberal":
-                    raise NotWellFormed("the success state cannot occur as a choice summand here")
-                successful = live = True
-                continue
-            if not isinstance(part, t.Prefix):
-                raise NotWellFormed(f"not a test construct: {t.pretty(part)}")
-            if part.name == t.TAU:
-                if flavor != "tau":
-                    raise NotWellFormed("timed tau prefixes require a tau-capable test")
-                if part.rate.passive:
-                    raise NotWellFormed("tau test prefixes must be exponentially timed")
-                # the grammar forbids success immediately after an internal move
-                if isinstance(part.body, t.Success):
-                    raise NotWellFormed("the success state cannot occur as a choice summand here")
-            elif not part.rate.passive:
-                raise NotWellFormed(f"test action {part.name} must be passive")
-            summands.append((part.name, part.rate, part.body))
-            if visit(part.body).live and part.name != t.FAILURE_NAME:
-                live = True
-        states[node] = TestState(tuple(summands), successful, live)
-        return states[node]
-
-    visit(term)
-    return states
+def _index(node: t.ProcessTerm, flavor: str, known: dict[t.ProcessTerm, TestState]) -> TestState:
+    """The state of a test node, checked against the grammar of its flavor
+    in one walk; NotWellFormed names the first rule broken.  known maps
+    nodes already indexed to their states and gains those indexed below
+    node.  node itself is not looked up, so a new root is not hashed."""
+    parts = t.summand_list(node)
+    successful = live = False
+    summands = []
+    for part in parts:
+        if isinstance(part, t.Success):
+            if len(parts) > 1 and flavor != "liberal":
+                raise NotWellFormed("the success state cannot occur as a choice summand here")
+            successful = live = True
+            continue
+        if not isinstance(part, t.Prefix):
+            raise NotWellFormed(f"not a test construct: {t.pretty(part)}")
+        if part.name == t.TAU:
+            if flavor != "tau":
+                raise NotWellFormed("timed tau prefixes require a tau-capable test")
+            if part.rate.passive:
+                raise NotWellFormed("tau test prefixes must be exponentially timed")
+            # the grammar forbids success immediately after an internal move
+            if isinstance(part.body, t.Success):
+                raise NotWellFormed("the success state cannot occur as a choice summand here")
+        elif not part.rate.passive:
+            raise NotWellFormed(f"test action {part.name} must be passive")
+        body = known.get(part.body)
+        if body is None:
+            body = known[part.body] = _index(part.body, flavor, known)
+        summands.append((part.name, part.rate, body))
+        if body.live and part.name != t.FAILURE_NAME:
+            live = True
+    return TestState(tuple(summands), successful, live)
 
 
 def parse_test(source: str, flavor: str = "reactive") -> Test:
@@ -168,7 +178,7 @@ def successful_computations(
 
 
 # (mean sojourn time or None, ((probability, process state, test node), ...))
-Step = tuple[Fraction | None, tuple[tuple[Fraction, int, t.ProcessTerm], ...]]
+Step = tuple[Fraction | None, tuple[tuple[Fraction, int, TestState], ...]]
 
 
 class InteractionProduct:
@@ -183,14 +193,13 @@ class InteractionProduct:
     test alone.  Every other visible action of either side is blocked.
     """
 
-    def __init__(self, lts: LMTS, test: Test):
+    def __init__(self, lts: LMTS):
         if not lts.performance_closed:
             raise NotPerformanceClosed("the process under test is not performance-closed")
-        self._states = test.states
         self._moves = lts.moves
-        self._steps: dict[tuple[int, t.ProcessTerm], Step] = {}
+        self._steps: dict[tuple[int, TestState], Step] = {}
 
-    def step(self, state: int, node: t.ProcessTerm) -> Step:
+    def step(self, state: int, node: TestState) -> Step:
         """Mean sojourn time of the product state, None when it has no
         move, and its branches (probability, process state, test node)."""
         key = (state, node)
@@ -198,13 +207,13 @@ class InteractionProduct:
             self._steps[key] = self._step(state, node)
         return self._steps[key]
 
-    def _step(self, state: int, node: t.ProcessTerm) -> Step:
-        summands = self._states[node].summands
+    def _step(self, state: int, node: TestState) -> Step:
+        summands = node.summands
         weights: dict[str, Fraction] = {}
         for name, rate, _ in summands:
             if rate.passive:
                 weights[name] = weights.get(name, Fraction(0)) + rate.value
-        moves: list[tuple[Fraction, int, t.ProcessTerm]] = []
+        moves: list[tuple[Fraction, int, TestState]] = []
         for name, value, target in self._moves[state]:
             if name == t.TAU:
                 moves.append((value, target, node))
@@ -241,34 +250,35 @@ def prob_pass(process: t.ProcessTerm, test: Test, theta: Theta, state_bound: int
     three, and NotPerformanceClosed is raised for the last.
     """
     lts = build_lts(process, state_bound=state_bound)
-    product = InteractionProduct(lts, test)
-    states = test.states
-    frontier = {(0, test.term, states[test.term].successful): Fraction(1)}
+    product = InteractionProduct(lts)
+    frontier = {(0, test.root, test.root.successful): Fraction(1)}
     for bound in theta:
-        reached: dict[tuple[int, t.ProcessTerm, bool], Fraction] = {}
+        reached: dict[tuple[int, TestState, bool], Fraction] = {}
         for (state, node, seen), mass in frontier.items():
-            if not seen and not states[node].live:
+            if not seen and not node.live:
                 continue
             sojourn, branches = product.step(state, node)
             if sojourn is None or sojourn > bound:
                 continue
             for share, state2, node2 in branches:
-                key = (state2, node2, seen or states[node2].successful)
+                key = (state2, node2, seen or node2.successful)
                 reached[key] = reached.get(key, Fraction(0)) + mass * share
         frontier = reached
     return sum((mass for (_, _, seen), mass in frontier.items() if seen), Fraction(0))
 
 
-def _canonical_step(environment: frozenset[str], name: str, continuation: t.ProcessTerm) -> t.ProcessTerm:
-    one = t.Rate.weight(1)
-    failure = t.Prefix(t.FAILURE_NAME, one, t.SUCCESS)
-    summands = []
-    for b in sorted(environment):
-        if b == name:
-            summands.append(t.Prefix(name, one, continuation))
-        else:
-            summands.append(t.Prefix(b, one, failure))
-    return t.nest_right(summands)
+_ONE = t.Rate.weight(1)
+# <z,*1>.s, the one node that every failure branch of a canonical test leads to
+_FAILURE = t.Prefix(t.FAILURE_NAME, _ONE, t.SUCCESS)
+_FAILURE_STATE = _index(_FAILURE, "reactive", {})
+
+
+def _canonical_step(environment: tuple[str, ...], name: str, continuation: t.ProcessTerm,
+                    failures: dict[str, t.ProcessTerm]) -> t.ProcessTerm:
+    """The choice over the sorted environment that continues on name and
+    takes the failure branch <b,*1>.<z,*1>.s in failures on every other b."""
+    return t.nest_right([t.Prefix(b, _ONE, continuation) if b == name else failures[b]
+                         for b in environment])
 
 
 def canonical_tests(names, depth: int) -> Iterator[Test]:
@@ -278,7 +288,9 @@ def canonical_tests(names, depth: int) -> Iterator[Test]:
     Each step picks a permitted environment set and the single name that
     continues towards success; every other permitted name fails in one
     step through the reserved name z.  Each layer is kept as the
-    continuations of the next.
+    continuations of the next, with their states: a new test indexes
+    only its root, whose prefixes lead to a continuation or to a failure
+    branch, which all tests share.
     """
     if depth < 0:
         raise CalcError(f"test depth must be at least 0, got {depth}")
@@ -286,23 +298,27 @@ def canonical_tests(names, depth: int) -> Iterator[Test]:
     if t.TAU in universe or t.FAILURE_NAME in universe:
         raise ReservedNameError("environment names must be visible and distinct from z")
     environments = [
-        frozenset(combination)
+        combination
         for size in range(1, len(universe) + 1)
         for combination in combinations(universe, size)
     ]
 
     def layers() -> Iterator[Test]:
-        yield Test(t.SUCCESS, "reactive")
-        layer = [t.SUCCESS]
+        test = Test(t.SUCCESS, "reactive")
+        yield test
+        failures = {b: t.Prefix(b, _ONE, _FAILURE) for b in universe}
+        layer = {t.SUCCESS: test.root}
         for level in range(1, depth + 1):
-            previous, layer = layer, []
+            previous, layer = layer, {}
+            known = {_FAILURE: _FAILURE_STATE, **previous}
             for environment in environments:
-                for name in sorted(environment):
+                for name in environment:
                     for continuation in previous:
-                        term = _canonical_step(environment, name, continuation)
+                        term = _canonical_step(environment, name, continuation, failures)
+                        test = _test_on(term, "reactive", known)
                         if level < depth:
-                            layer.append(term)
-                        yield Test(term, "reactive")
+                            layer[term] = test.root
+                        yield test
 
     return layers()
 
@@ -313,25 +329,40 @@ _EDITS = {
 }
 
 
-def _edited(term: t.ProcessTerm, edit) -> Iterator[t.ProcessTerm]:
+def _known(term: t.ProcessTerm, state: TestState) -> dict[t.ProcessTerm, TestState]:
+    """term and its prefix bodies, with their states."""
+    known = {term: state}
+    prefixes = [part for part in t.summand_list(term) if isinstance(part, t.Prefix)]
+    for part, (_, _, body) in zip(prefixes, state.summands):
+        known[part.body] = body
+    return known
+
+
+def _edited(term: t.ProcessTerm, state: TestState, edit) -> Iterator[tuple[t.ProcessTerm, dict]]:
     """term with edit applied at one node at a time, in pre-order over
     the nodes other than s reached through visible names other than z:
-    the success path and the first step of each failure branch."""
+    the success path and the first step of each failure branch.  Each
+    comes with the states of the nodes it keeps beside the edit and
+    along the path to it, so that only its new nodes are indexed."""
     if isinstance(term, t.Success):
         return
-    yield edit(term)
+    known = _known(term, state)
+    yield edit(term), known
     parts = t.summand_list(term)
     for i, part in enumerate(parts):
         if isinstance(part, t.Prefix) and part.name != t.FAILURE_NAME:
-            for body in _edited(part.body, edit):
-                yield t.nest_right(parts[:i] + [t.Prefix(part.name, part.rate, body)] + parts[i + 1:])
+            for body, inner in _edited(part.body, known[part.body], edit):
+                kept = parts[:i] + [t.Prefix(part.name, part.rate, body)] + parts[i + 1:]
+                yield t.nest_right(kept), {**known, **inner}
 
 
 def flavored_tests(base: Iterable[Test], flavor: str) -> Iterable[Test]:
     """The reactive base tests in the given flavor.  Reactive tests are
     the base itself.  Liberal tests adjoin s as an extra summand, tau
     tests put a <tau,1> step first, at one node at a time: each base test
-    is followed by its variants, and repeats are skipped."""
+    is followed by its variants, and repeats are skipped.  The reactive
+    grammar is part of the other two, so a variant reuses the states of
+    the nodes it keeps from its base test and indexes only its new ones."""
     if flavor not in FLAVORS:
         raise ValueError(f"unknown test flavor {flavor!r}")
     if flavor == "reactive":
@@ -341,9 +372,12 @@ def flavored_tests(base: Iterable[Test], flavor: str) -> Iterable[Test]:
     def variants() -> Iterator[Test]:
         seen: set[t.ProcessTerm] = set()
         for test in base:
-            for term in chain((test.term,), _edited(test.term, edit)):
+            if test.flavor != "reactive":
+                raise ValueError(f"base tests must be reactive, got a {test.flavor} test")
+            unedited = (test.term, _known(test.term, test.root))
+            for term, known in chain((unedited,), _edited(test.term, test.root, edit)):
                 if term not in seen:
                     seen.add(term)
-                    yield Test(term, flavor)
+                    yield _test_on(term, flavor, known)
 
     return variants()

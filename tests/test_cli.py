@@ -239,3 +239,21 @@ def test_deep_terms_exit_two_without_traceback(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("check-equiv", "-p1", "<a,1>.0", "-p2", "<a,2>.0", "--state-bound", "-3"), "--state-bound"),
+    (("lts", "<a,1>.0", "--state-bound", "0"), "--state-bound"),
+    (("corpus", "--count", "-1"), "--count"),
+    (("corpus", "--count", "two"), "--count"),
+])
+def test_out_of_range_counts_are_usage_errors(capsys, argv, option):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    assert f"argument {option}:" in capsys.readouterr().err
+
+
+def test_corpus_of_no_terms(capsys):
+    code, out, _ = run(capsys, "corpus", "--count", "0")
+    assert code == 0 and out == ""

@@ -1,18 +1,21 @@
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpcalc.corpus import random_pairs, random_term
+from mpcalc import oracle, terms as t
+from mpcalc.corpus import random_pair, random_pairs, random_term
+from mpcalc.decider import decide_equiv
 from mpcalc.errors import CalcError
-from mpcalc.oracle import (bounded_testing_oracle, old_style_oracle,
-                           passing_probability, successful_measures)
+from mpcalc.oracle import (bounded_testing_oracle, old_style_oracle, passing_probability,
+                           search_witness, successful_measures)
 from mpcalc.parser import parse_term
 from mpcalc.semantics import build_lts
-from mpcalc.testing import canonical_tests, prob_pass
+from mpcalc.testing import canonical_tests, flavored_tests, make_test, prob_pass
 
 
 def test_distinguishes_timed_internal_moves():
@@ -87,3 +90,97 @@ def test_negative_depths_are_rejected():
     with pytest.raises(CalcError):
         old_style_oracle(left, right, depth=-2)
     assert bounded_testing_oracle(left, right, depth=0).equivalent
+
+
+def test_negative_lengths_are_rejected():
+    lts1, lts2 = build_lts(parse_term("<a,1>.0")), build_lts(parse_term("<a,2>.0"))
+    with pytest.raises(CalcError):
+        search_witness(lts1, lts2, canonical_tests(["a"], 1), -1)
+    with pytest.raises(CalcError):
+        successful_measures(lts1, make_test(t.SUCCESS), -1)
+    assert not search_witness(lts1, lts2, canonical_tests(["a"], 1), 1).equivalent
+
+
+def _minimal_difference(m1, m2):
+    support = [v for v in set(m1) | set(m2) if m1.get(v, 0) != m2.get(v, 0)]
+    minimal = [v for v in support
+               if not any(u != v and all(a <= b for a, b in zip(u, v)) for u in support)]
+    return min(minimal) if minimal else None
+
+
+def _reference_search(lts1, lts2, tests, max_len):
+    """The witness search without any skipping: every test is measured."""
+    checked = 0
+    for checked, test in enumerate(tests, 1):
+        m1 = successful_measures(lts1, test, max_len)
+        m2 = successful_measures(lts2, test, max_len)
+        for length in range(max_len + 1):
+            theta = _minimal_difference(m1[length], m2[length])
+            if theta is not None:
+                return (False, test, theta, passing_probability(m1, theta),
+                        passing_probability(m2, theta), checked)
+    return (True, None, None, None, None, checked)
+
+
+def _tau_loop(term, rate):
+    # rec X : <tau,rate>.X + term, an internal self-loop at the initial state
+    return t.Rec("L", t.Choice(t.Prefix(t.TAU, t.Rate(rate), t.Var("L")), term))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(["reactive", "liberal", "tau"]),
+       st.sampled_from([None, (1, 1), (2, 2), (1, 3)]))
+def test_skipping_tests_neither_side_can_pass_changes_no_answer(seed, flavor, loops):
+    # the search skips the tests whose success neither process can reach;
+    # a plain loop that measures every test must give the same answer.
+    # The name c, which neither process uses, makes many such tests, and
+    # a shuffled order puts them before tests like s, which separate most
+    # pairs by their timing alone.
+    rng = Random(seed)
+    sample = random_pair(rng, names=("a", "b"), depth=3, max_states=8)
+    left, right = sample.left, sample.right
+    if loops is not None:
+        left, right = _tau_loop(left, loops[0]), _tau_loop(right, loops[1])
+    lts1, lts2 = build_lts(left), build_lts(right)
+    names = sorted(lts1.visible_names() | lts2.visible_names() | {"c"})
+    depth = 3 if flavor == "reactive" else 2
+
+    tests = list(flavored_tests(canonical_tests(names, depth), flavor))
+    rng.shuffle(tests)
+    verdict = search_witness(lts1, lts2, tests, depth)
+    got = (verdict.equivalent, verdict.witness_test, verdict.witness_theta,
+           verdict.prob_left, verdict.prob_right, verdict.tests_checked)
+    assert got == _reference_search(lts1, lts2, tests, depth)
+
+
+def test_most_tests_of_a_deep_witness_are_skipped(monkeypatch):
+    left = parse_term("<c,4/3>.<a,9>.<d,8>.<c,5/3>.0")
+    right = parse_term("<c,4/3>.<a,9>.<d,8>.<c,8/3>.0")
+    calls = []
+    measures = oracle.successful_measures
+    monkeypatch.setattr(oracle, "successful_measures",
+                        lambda *args: calls.append(args) or measures(*args))
+    verdict = bounded_testing_oracle(left, right, depth=4)
+    assert not verdict.equivalent
+    measured = len(calls) // 2
+    assert verdict.tests_checked > 20 * measured
+    # the witness carries its whole index, and so does a fresh copy of it
+    theta = verdict.witness_theta
+    for test in (verdict.witness_test, make_test(verdict.witness_test.term)):
+        assert prob_pass(left, test, theta) == verdict.prob_left
+        assert prob_pass(right, test, theta) == verdict.prob_right
+    assert verdict.prob_left != verdict.prob_right
+
+
+def test_a_search_leaves_no_cyclic_garbage():
+    left = parse_term("<a,1>.<b,1>.0 + <b,2>.0")
+    right = parse_term("<a,1>.<b,2>.0 + <b,2>.0")
+    gc.collect()
+    gc.disable()
+    try:
+        assert not bounded_testing_oracle(left, right, depth=3).equivalent
+        assert gc.collect() == 0
+        assert decide_equiv(left, right).witness_test is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

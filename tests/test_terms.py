@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses as d
 from fractions import Fraction
 
 import pytest
@@ -87,3 +88,14 @@ def test_children_and_subterms():
     assert len(kids) == 1 and isinstance(kids[0], t.Choice)
     assert t.NIL in list(t.subterms(term))
     assert t.SUCCESS in list(t.subterms(term))
+
+
+def test_term_hash_is_the_hash_of_the_class_name_and_fields():
+    # terms cache their hash; its value is the one a fields walk gives
+    body = t.Prefix("a", t.Rate(2), t.SUCCESS)
+    terms = [t.NIL, t.SUCCESS, t.Var("X"), body, t.Choice(body, t.NIL),
+             t.Parallel({"a"}, body, t.NIL), t.Hide({"a"}, body),
+             t.Relabel((("a", "b"),), body), t.Rec("X", t.Prefix("b", t.Rate(1), t.Var("X")))]
+    for term in terms:
+        fields = tuple(getattr(term, f.name) for f in d.fields(term))
+        assert hash(term) == hash((type(term).__name__, fields))

@@ -187,6 +187,39 @@ def test_flavored_tests_pin_the_liberal_and_tau_variants():
         flavored_tests(base, "bogus")
 
 
+def _shape(state):
+    return (tuple((name, rate, _shape(body)) for name, rate, body in state.summands),
+            state.successful, state.live)
+
+
+def test_canonical_tests_index_only_their_new_root(monkeypatch):
+    calls = []
+    index = testing._index
+    monkeypatch.setattr(testing, "_index", lambda *args: calls.append(args) or index(*args))
+    tests = list(canonical_tests(["a", "b", "c"], 3))
+    assert len(calls) == len(tests) == 1885
+    # the reused states are those a full index of each term finds
+    for test in tests[::7]:
+        assert _shape(test.root) == _shape(testing.Test(test.term, "reactive").root)
+
+
+def test_flavored_variants_index_only_their_new_nodes(monkeypatch):
+    base = list(canonical_tests(["a", "b"], 2))
+    for flavor in ("liberal", "tau"):
+        calls = []
+        index = testing._index
+        monkeypatch.setattr(testing, "_index", lambda *args: calls.append(args) or index(*args))
+        variants = list(flavored_tests(base, flavor))
+        monkeypatch.undo()
+        full = [testing.Test(x.term, flavor) for x in variants]
+        assert [_shape(x.root) for x in variants] == [_shape(x.root) for x in full]
+        # the full index walks every node again, a variant only the ones
+        # on the path to its edit
+        assert len(calls) < sum(len(list(t.subterms(x.term))) for x in variants) // 3
+    with pytest.raises(ValueError):
+        list(flavored_tests(flavored_tests(base, "liberal"), "tau"))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9))
 def test_prob_pass_monotone_in_theta(seed):
