@@ -21,8 +21,10 @@ not.  Innermost expansion removes the kept context in the next round, so
 fully expanded results are unaffected.
 
 normalize implements the proof strategy: expand away static operators,
-then per sum flatten with A1-A3 under a fixed total order and merge with
-A4 wherever the cumulative-rate side condition holds, to a fixpoint.
+then, bottom up, flatten each sum with A1-A3, merge each group of its
+summands that meets A4's side condition once, and sort it under a fixed
+total order.  One pass per sum is enough, because a merged group is one
+prefix with the group's A4 key, which no other summand has.
 expand_static, normalize and normalize_with_trace run one recursive
 engine.  For normalize_with_trace it also records, where the strategy
 rewrites, the single law application each change amounts to, so the
@@ -32,6 +34,7 @@ trace replays through apply_law to the normal form.
 from __future__ import annotations
 
 import dataclasses as d
+from collections import Counter
 from fractions import Fraction
 
 from . import terms as t
@@ -61,7 +64,7 @@ class RewriteStep:
 def subterm_at(term: t.ProcessTerm, position: Path) -> t.ProcessTerm:
     for i in position:
         kids = t.children(term)
-        if i >= len(kids):
+        if not 0 <= i < len(kids):
             raise LawError(f"position {position} does not exist")
         term = kids[i]
     return term
@@ -72,7 +75,7 @@ def replace_at(term: t.ProcessTerm, position: Path, new: t.ProcessTerm) -> t.Pro
         return new
     head = position[0]
     kids = list(t.children(term))
-    if head >= len(kids):
+    if not 0 <= head < len(kids):
         raise LawError(f"position {position} does not exist")
     kids[head] = replace_at(kids[head], position[1:], new)
     return t.with_children(term, kids)
@@ -98,26 +101,28 @@ def _cumulative(body: t.ProcessTerm, law: str) -> dict[str, Fraction]:
     return out
 
 
+def _a4_key(p: t.Prefix) -> tuple:
+    """A4's side condition as a key: exponentially timed prefixes merge
+    when they agree on the name and on the body's cumulative rates."""
+    return p.name, tuple(sorted(_cumulative(p.body, "A4").items()))
+
+
 def _a4(term: t.ProcessTerm) -> t.ProcessTerm:
     branches = _prefix_sum(term, "A4")
     if len(branches) < 2:
         raise LawError("A4 requires at least two branches")
-    name = branches[0].name
-    if any(b.name != name for b in branches):
-        raise LawError("A4 branches must share one action name")
     if any(b.rate.passive for b in branches):
         raise LawError("A4 is stated for exponentially timed rates")
-    maps = [_cumulative(b.body, "A4") for b in branches]
-    if any(m != maps[0] for m in maps[1:]):
-        raise LawError("A4 cumulative derivative rates differ across branches")
+    if len({_a4_key(b) for b in branches}) > 1:
+        raise LawError("A4 branches must share one action name and cumulative rates")
     return a4_merge(branches)
 
 
 def a4_merge(branches: list[t.Prefix]) -> t.Prefix:
     """The right-hand side of A4 for a sum of same-named timed prefixes
     whose bodies are nil or sums of prefixes: one prefix at the total
-    rate, each inner prefix rescaled by its branch's share.  The side
-    conditions are checked by _a4, not here."""
+    rate, each inner prefix rescaled by its branch's share.  The caller
+    checks the side condition: one _a4_key for all branches."""
     total = sum((b.rate.value for b in branches), Fraction(0))
     inner: list[t.ProcessTerm] = []
     for b in branches:
@@ -304,34 +309,6 @@ def expand_static(term: t.ProcessTerm) -> t.ProcessTerm:
     return _expand(term, None, None)
 
 
-def _sort_key(term: t.ProcessTerm):
-    if isinstance(term, t.Prefix):
-        return (
-            1,
-            0 if term.name == t.TAU else 1,
-            term.name,
-            1 if term.rate.passive else 0,
-            term.rate.value,
-            _sort_key(term.body),
-        )
-    if isinstance(term, t.Choice):
-        return (2, tuple(_sort_key(p) for p in t.summand_list(term)))
-    return (0,)
-
-
-def _mergeable(parts: list[t.ProcessTerm]) -> dict[tuple, list[int]]:
-    """Indices of exponential prefix summands grouped by A4's side
-    condition; only groups of two or more can be merged.  Performance
-    closure is checked before expansion, so every body here is nil or a
-    sum of exponential prefixes."""
-    groups: dict[tuple, list[int]] = {}
-    for i, p in enumerate(parts):
-        if isinstance(p, t.Prefix) and not p.rate.passive:
-            key = (p.name, tuple(sorted(_cumulative(p.body, "A4").items())))
-            groups.setdefault(key, []).append(i)
-    return {k: v for k, v in groups.items() if len(v) >= 2}
-
-
 def _flatten(term: t.ProcessTerm, pos: Path | None, steps) -> list[t.ProcessTerm]:
     """Summands of the sum at pos, which A2 rotations nest to the right."""
     if steps is None:
@@ -348,13 +325,13 @@ def _flatten(term: t.ProcessTerm, pos: Path | None, steps) -> list[t.ProcessTerm
     return parts
 
 
-def _sort_summands(parts: list[t.ProcessTerm], keys: list, pos: Path | None,
-                   steps) -> list[t.ProcessTerm]:
-    """Stable sort of the summands of the right-nested sum at pos, as
-    swaps of adjacent summands (A1, with A2 around it inside the spine)."""
+def _sort_summands(items: list, key, pos: Path | None, steps) -> list:
+    """Stable sort by key of the summands of the right-nested sum at pos,
+    one item each, as swaps of adjacent summands (A1, with A2 around it
+    inside the spine)."""
     if steps is None:
-        return [parts[i] for i in sorted(range(len(parts)), key=keys.__getitem__)]
-    parts, keys, n = list(parts), list(keys), len(parts)
+        return sorted(items, key=key)
+    items, keys, n = list(items), [key(item) for item in items], len(items)
     for i in range(1, n):
         for j in range(i, 0, -1):
             if not keys[j - 1] > keys[j]:
@@ -365,34 +342,49 @@ def _sort_summands(parts: list[t.ProcessTerm], keys: list, pos: Path | None,
             else:
                 steps += [RewriteStep("A2", at, "rl"), RewriteStep("A1", at + (0,)),
                           RewriteStep("A2", at)]
-            parts[j - 1], parts[j] = parts[j], parts[j - 1]
+            items[j - 1], items[j] = items[j], items[j - 1]
             keys[j - 1], keys[j] = keys[j], keys[j - 1]
-    return parts
+    return items
 
 
-def _canon(term: t.ProcessTerm, pos: Path | None, steps) -> t.ProcessTerm:
-    """Flatten, merge with A4 to a fixpoint and sort every sum of an
-    expanded term, which holds no nil summands."""
+def _canon(term: t.ProcessTerm, pos: Path | None, steps) -> tuple[t.ProcessTerm, tuple]:
+    """The canonical form of an expanded term, which holds no nil
+    summands, with its sort key.  Bottom up, each sum is flattened, each
+    of its A4 groups is merged once, in the order of their first members,
+    and it is sorted.  One pass is enough: a merged group is one prefix
+    with the group's A4 key, which no other summand has."""
     if isinstance(term, t.Prefix):
-        return t.Prefix(term.name, term.rate, _canon(term.body, _at(pos, 0), steps))
+        body, body_key = _canon(term.body, _at(pos, 0), steps)
+        name, rate = term.name, term.rate
+        return t.Prefix(name, rate, body), (
+            1, 0 if name == t.TAU else 1, name, 1 if rate.passive else 0, rate.value, body_key)
     if not isinstance(term, t.Choice):
-        return term
+        return term, (0,)
     parts = _flatten(term, pos, steps)
     n = len(parts)
-    parts = [_canon(p, _summand_at(pos, i, n), steps) for i, p in enumerate(parts)]
-    while groups := _mergeable(parts):
-        key = min(groups, key=lambda k: min(groups[k]))
-        members = set(groups[key])
+    # (summand, sort key, A4 key or None); performance closure is checked
+    # before expansion, so every prefix body is nil or a sum of
+    # exponentially timed prefixes, which _a4_key accepts
+    items = []
+    for i, part in enumerate(parts):
+        p, key = _canon(part, _summand_at(pos, i, n), steps)
+        exponential = isinstance(p, t.Prefix) and not p.rate.passive
+        items.append((p, key, _a4_key(p) if exponential else None))
+    for group, size in Counter(a4 for _, _, a4 in items if a4 is not None).items():
+        if size < 2:
+            continue
         # a stable partition floats the group to the tail of the spine,
         # where a contiguous sum is an addressable subterm
-        parts = _sort_summands(parts, [i in members for i in range(len(parts))], pos, steps)
-        start = len(parts) - len(members)
+        items = _sort_summands(items, lambda item: item[2] == group, pos, steps)
+        start = len(items) - size
         merge_at = _at(pos, *(1,) * start)
-        merged = _a4(t.nest_right(parts[start:]))
-        _record(steps, "A4", merge_at, binding=(("width", str(len(members))),))
-        merged = t.Prefix(merged.name, merged.rate, _canon(merged.body, _at(merge_at, 0), steps))
-        parts = parts[:start] + [merged]
-    return t.nest_right(_sort_summands(parts, [_sort_key(p) for p in parts], pos, steps))
+        _record(steps, "A4", merge_at, binding=(("width", str(size)),))
+        merged = a4_merge([p for p, _, _ in items[start:]])
+        items[start:] = [(*_canon(merged, merge_at, steps), group)]
+    items = _sort_summands(items, lambda item: item[1], pos, steps)
+    if len(items) == 1:  # merged down to one prefix, which sorts as one
+        return items[0][:2]
+    return t.nest_right([p for p, _, _ in items]), (2, tuple(key for _, key, _ in items))
 
 
 def _normalize(term: t.ProcessTerm, state_bound: int, steps) -> t.ProcessTerm:
@@ -400,7 +392,7 @@ def _normalize(term: t.ProcessTerm, state_bound: int, steps) -> t.ProcessTerm:
         raise NotPerformanceClosed("normalization is defined for performance-closed terms")
     _require_nonrecursive(term)
     pos = None if steps is None else ()
-    return _canon(_expand(term, pos, steps), pos, steps)
+    return _canon(_expand(term, pos, steps), pos, steps)[0]
 
 
 def normalize(term: t.ProcessTerm, state_bound: int = 10000) -> t.ProcessTerm:

@@ -67,33 +67,38 @@ def _grow(rng: Random, names: Sequence[str], depth: int, tau: bool,
     """A random term of at most the given depth.  The walk expects about
     1.2 children per node, so deep draws can grow without end; it raises
     _OverBudget when it would make more than NODE_BUDGET nodes."""
-    nodes = 0
+    return _grow_node(rng, names, depth, tau, static_ops, [0])
 
-    def grow(depth: int) -> t.ProcessTerm:
-        nonlocal nodes
-        nodes += 1
-        if nodes > NODE_BUDGET:
-            raise _OverBudget
-        if depth <= 0:
-            return t.NIL
-        roll = rng.random()
-        if roll < 0.08:
-            return t.NIL
-        if roll < 0.60 or not static_ops:
-            pool = list(names) + ([t.TAU] if tau else [])
-            return t.Prefix(rng.choice(pool), _rate(rng), grow(depth - 1))
-        if roll < 0.82:
-            return t.Choice(grow(depth - 1), grow(depth - 1))
-        if roll < 0.90:
-            sync = frozenset(n for n in names if rng.random() < 0.4)
-            return t.Parallel(sync, grow(depth - 1), grow(depth - 1))
-        if roll < 0.95:
-            hidden = frozenset(n for n in names if rng.random() < 0.4)
-            return t.Hide(hidden, grow(depth - 1))
-        mapping = tuple((n, rng.choice(names)) for n in names if rng.random() < 0.5)
-        return t.Relabel(mapping, grow(depth - 1))
 
-    return grow(depth)
+def _grow_node(rng: Random, names: Sequence[str], depth: int, tau: bool,
+               static_ops: bool, nodes: list[int]) -> t.ProcessTerm:
+    """One node of _grow's walk and the nodes below it; nodes[0] counts
+    the nodes the walk has made."""
+    nodes[0] += 1
+    if nodes[0] > NODE_BUDGET:
+        raise _OverBudget
+
+    def grow() -> t.ProcessTerm:
+        return _grow_node(rng, names, depth - 1, tau, static_ops, nodes)
+
+    if depth <= 0:
+        return t.NIL
+    roll = rng.random()
+    if roll < 0.08:
+        return t.NIL
+    if roll < 0.60 or not static_ops:
+        pool = list(names) + ([t.TAU] if tau else [])
+        return t.Prefix(rng.choice(pool), _rate(rng), grow())
+    if roll < 0.82:
+        return t.Choice(grow(), grow())
+    if roll < 0.90:
+        sync = frozenset(n for n in names if rng.random() < 0.4)
+        return t.Parallel(sync, grow(), grow())
+    if roll < 0.95:
+        hidden = frozenset(n for n in names if rng.random() < 0.4)
+        return t.Hide(hidden, grow())
+    mapping = tuple((n, rng.choice(names)) for n in names if rng.random() < 0.5)
+    return t.Relabel(mapping, grow())
 
 
 def random_term(rng: Random, names: Sequence[str] = ("a", "b"), depth: int = 3,
@@ -349,29 +354,30 @@ def law_instance(rng: Random, law: str, names: Sequence[str] = ("a", "b")
 
 # --- special corpora ---
 
+def _alive(rng: Random, names: Sequence[str], depth: int) -> t.ProcessTerm:
+    """A term that still has a move on every path shorter than depth."""
+    if depth == 0:
+        return _grow(rng, names, 2, True, False)
+    roll = rng.random()
+    if roll < 0.15:
+        # A guarded loop never deadlocks at any depth.
+        var = "X"
+        body: t.ProcessTerm = t.Var(var)
+        for _ in range(rng.randint(1, 3)):
+            body = t.Prefix(rng.choice(list(names)), _rate(rng), body)
+        return t.Rec(var, body)
+    if roll < 0.35:
+        return t.Choice(_alive(rng, names, depth), _alive(rng, names, depth))
+    return t.Prefix(rng.choice(list(names) + [t.TAU]), _rate(rng),
+                    _alive(rng, names, depth - 1))
+
+
 def deadlock_free_term(rng: Random, horizon: int = 5,
                        names: Sequence[str] = ("a", "b"),
                        max_states: int = 24) -> t.ProcessTerm:
     """A term whose every computation still has a move before horizon."""
-
-    def alive(depth: int) -> t.ProcessTerm:
-        if depth == 0:
-            return _grow(rng, names, 2, True, False)
-        roll = rng.random()
-        if roll < 0.15:
-            # A guarded loop never deadlocks at any depth.
-            var = "X"
-            body: t.ProcessTerm = t.Var(var)
-            for _ in range(rng.randint(1, 3)):
-                body = t.Prefix(rng.choice(list(names)), _rate(rng), body)
-            return t.Rec(var, body)
-        if roll < 0.35:
-            return t.Choice(alive(depth), alive(depth))
-        return t.Prefix(rng.choice(list(names) + [t.TAU]), _rate(rng),
-                        alive(depth - 1))
-
     for _ in range(ATTEMPTS):
-        candidate = alive(horizon)
+        candidate = _alive(rng, names, horizon)
         lts = _analyzable(candidate, max_states)
         if lts is None:
             continue

@@ -116,9 +116,8 @@ def _index(node: t.ProcessTerm, flavor: str, known: dict[t.ProcessTerm, TestStat
                 raise NotWellFormed("timed tau prefixes require a tau-capable test")
             if part.rate.passive:
                 raise NotWellFormed("tau test prefixes must be exponentially timed")
-            # the grammar forbids success immediately after an internal move
             if isinstance(part.body, t.Success):
-                raise NotWellFormed("the success state cannot occur as a choice summand here")
+                raise NotWellFormed("the success state cannot follow an internal move directly")
         elif not part.rate.passive:
             raise NotWellFormed(f"test action {part.name} must be passive")
         body = known.get(part.body)

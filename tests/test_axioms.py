@@ -7,11 +7,12 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mpcalc import terms as t
 from mpcalc.axioms import (RewriteStep, apply_law, axiom_prove, expand_static,
-                           normalize, normalize_with_trace)
+                           normalize, normalize_with_trace, subterm_at)
 from mpcalc.axioms import LAW_IDS
 from mpcalc.corpus import (a4_instance, a4_violation, law_instance,
-                           random_term, sound_steps)
+                           random_pair, random_term, sound_steps)
 from mpcalc.decider import decide_equiv
 from mpcalc.errors import LawError, NotPerformanceClosed, NotWellFormed
 from mpcalc.parser import parse_term
@@ -41,6 +42,11 @@ def test_apply_law_error_cases():
         apply_law(parse_term("<a,1>.0"), RewriteStep("A1"))  # not a choice
     with pytest.raises(LawError):
         apply_law(parse_term("<a,1>.0"), RewriteStep("A1", position=(3,)))
+    pair = parse_term("<a,1>.0 + <b,1>.0")
+    with pytest.raises(LawError):
+        subterm_at(pair, (-1,))
+    with pytest.raises(LawError):
+        apply_law(pair, RewriteStep("A3", (-1,), "rl"))  # negative position
     lhs, _ = a4_violation(Random(5))
     with pytest.raises(LawError):
         apply_law(lhs, RewriteStep("A4"))  # unequal cumulative rates
@@ -71,6 +77,53 @@ def test_normalize_drops_nil_and_sorts():
     assert normalize(parse_term("(<b,2>.0 + 0) + <a,1>.0")) == \
         normalize(parse_term("<b,2>.0 + <a,1>.0"))
     assert normalize(parse_term("<a,1>.0 + <a,2>.0")) == parse_term("<a,3>.0")
+
+
+def test_a_sum_merged_to_one_prefix_sorts_as_a_prefix():
+    source = parse_term("<a,1>.<d,1>.0 + <a,1>.(<c,1>.0 + <c,2>.0)")
+    normal, steps = normalize_with_trace(source)
+    assert t.pretty(normal) == "<a,1>.<c,3>.0 + <a,1>.<d,1>.0"
+    assert _replay(source, steps) == normal
+
+
+def _reference_key(term):
+    """The order of summands in a normal form, computed from the term."""
+    if isinstance(term, t.Prefix):
+        return (1, 0 if term.name == t.TAU else 1, term.name,
+                1 if term.rate.passive else 0, term.rate.value,
+                _reference_key(term.body))
+    if isinstance(term, t.Choice):
+        return (2, tuple(_reference_key(p) for p in t.summand_list(term)))
+    return (0,)
+
+
+def _cumulative(term):
+    out = Counter()
+    for p in t.summand_list(term):
+        if isinstance(p, t.Prefix):
+            out[p.name] += p.rate.value
+    return out
+
+
+def test_normal_forms_are_sorted_and_fully_merged():
+    # every sum is in summand order, and A4 has nothing left to merge; the
+    # sum of a pair's sides gives A4 same-named summands to merge
+    rng = Random(33)
+    checked = 0
+    while checked < 50:
+        pair = random_pair(rng, depth=3, max_states=8)
+        both = t.Choice(pair.left, pair.right)
+        if any(isinstance(s, (t.Rec, t.Var)) for s in t.subterms(both)):
+            continue
+        checked += 1
+        for term in (pair.left, pair.right, both):
+            for sub in t.subterms(normalize(term)):
+                parts = t.summand_list(sub)
+                keys = [_reference_key(p) for p in parts]
+                assert keys == sorted(keys)
+                a4_keys = [(p.name, frozenset(_cumulative(p.body).items()))
+                           for p in parts if isinstance(p, t.Prefix) and not p.rate.passive]
+                assert len(a4_keys) == len(set(a4_keys))
 
 
 def test_normalize_preconditions():

@@ -56,6 +56,13 @@ def test_eval_test_errors_exit_two(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_eval_test_names_success_right_after_a_tau_move(capsys):
+    code, out, err = run(capsys, "eval-test", "-p", "<a,1>.0",
+                         "-t", "<tau,1>.s", "--flavor", "tau")
+    assert code == 2 and out == ""
+    assert "cannot follow an internal move" in err
+
+
 def test_eval_test_state_bound_counts_process_states_only(capsys):
     # one process state, three states of the interaction with the test
     code, out, _ = run(capsys, "eval-test", "-p", "rec X : <a,1>.X",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 from random import Random
 
 from mpcalc import terms as t
@@ -91,6 +92,20 @@ def test_deadlock_free_horizon():
             assert all(lts.outgoing[state] for state in frontier)
             frontier = {lts.state_of(tr.target)
                         for state in frontier for tr in lts.outgoing[state]}
+
+
+def test_draws_leave_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            random_term(Random(27), depth=4)
+        assert gc.collect() == 0
+        for _ in range(10):
+            deadlock_free_term(Random(28))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_chain_generators():
