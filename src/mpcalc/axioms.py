@@ -25,10 +25,20 @@ then, bottom up, flatten each sum with A1-A3, merge each group of its
 summands that meets A4's side condition once, and sort it under a fixed
 total order.  One pass per sum is enough, because a merged group is one
 prefix with the group's A4 key, which no other summand has.
-expand_static, normalize and normalize_with_trace run one recursive
-engine.  For normalize_with_trace it also records, where the strategy
-rewrites, the single law application each change amounts to, so the
-trace replays through apply_law to the normal form.
+expand_static, normalize, normalize_with_trace and axiom_prove run one
+recursive engine.  For normalize_with_trace it also records, where the
+strategy rewrites, the single law application each change amounts to, so
+the trace replays through apply_law to the normal form.
+
+A parallel composition repeats the same continuations at many positions
+of its expanded tree, which can be exponentially larger than its LMTS.
+So each call works on distinct subterms: it eliminates each distinct
+redex and canonicalizes each distinct expanded term once (axiom_prove's
+two sides share this memo), and a trace records a shared subterm's steps
+once, relative to its root, and replays them at each position.  The
+trace itself is as long as the tree; past TRACE_STEP_BUDGET steps it is
+refused with a CalcError.  Untraced normal forms share their subterms
+and have no budget.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from fractions import Fraction
 
 from . import terms as t
 from .decider import decide_equiv
-from .errors import LawError, NotPerformanceClosed, NotWellFormed
+from .errors import CalcError, LawError, NotPerformanceClosed, NotWellFormed
 from .semantics import Entry, build_lts, compose_parallel
 
 LAW_IDS = tuple(f"A{i}" for i in range(1, 16))
@@ -239,9 +249,10 @@ def _require_nonrecursive(term: t.ProcessTerm) -> None:
             raise NotWellFormed("tests cannot be expanded")
 
 
-# The engine rewrites the subterm at position pos of the whole term and
-# appends each step to steps.  Without a step list pos is None, and no
-# positions are built.
+# Past this many steps a trace is refused: the expanded tree of a
+# parallel composition, which a trace walks, can be exponentially larger
+# than its LMTS.
+TRACE_STEP_BUDGET = 100_000
 
 
 def _at(pos: Path | None, *path: int) -> Path | None:
@@ -255,144 +266,214 @@ def _summand_at(pos: Path | None, i: int, n: int) -> Path | None:
     return pos + (1,) * i + ((0,) if i < n - 1 else ())
 
 
-def _record(steps, law: str, pos: Path | None, direction: str = "lr", binding=()) -> None:
-    if steps is not None:
-        steps.append(RewriteStep(law, pos, direction, binding))
+def _size(steps: list) -> int:
+    """Length of a recorded trace, found without replaying it; past
+    TRACE_STEP_BUDGET the trace is refused."""
+    size = sum(item[2] if isinstance(item, tuple) else 1 for item in steps)
+    if size > TRACE_STEP_BUDGET:
+        raise CalcError(f"the rewrite trace is longer than TRACE_STEP_BUDGET "
+                        f"({TRACE_STEP_BUDGET} steps)")
+    return size
 
 
-def _expand(x: t.ProcessTerm, pos: Path | None, steps) -> t.ProcessTerm:
-    """Innermost elimination of every static operator in x."""
-    if isinstance(x, t.Prefix):
-        return t.Prefix(x.name, x.rate, _expand(x.body, _at(pos, 0), steps))
-    if isinstance(x, t.Choice):
-        # nil summands are dropped on the way (A1, A3), keeping operand
-        # sums in the prefix-sum shape the laws expect
-        left = _expand(x.left, _at(pos, 0), steps)
-        right = _expand(x.right, _at(pos, 1), steps)
-        if right == t.NIL:
-            _record(steps, "A3", pos)
-            return left
-        if left == t.NIL:
-            _record(steps, "A1", pos)
-            _record(steps, "A3", pos)
-            return right
-        return t.Choice(left, right)
-    if isinstance(x, (t.Parallel, t.Hide, t.Relabel)):
-        kids = [_expand(k, _at(pos, i), steps) for i, k in enumerate(t.children(x))]
-        return _eliminate(t.with_children(x, kids), pos, steps)
-    return x
+def _replay(steps: list, prefix: Path, out: list[RewriteStep]) -> None:
+    """Append a recorded trace to out, each position prefixed with prefix."""
+    for item in steps:
+        if isinstance(item, tuple):
+            at, shared, _ = item
+            _replay(shared, prefix + at, out)
+        elif prefix:
+            out.append(RewriteStep(item.law, prefix + item.position, item.direction,
+                                   item.binding))
+        else:
+            out.append(item)
 
 
-def _eliminate(x: t.ProcessTerm, pos: Path | None, steps) -> t.ProcessTerm:
-    """Eliminate the static operator at the root of x, whose operands are
-    already expanded, one A5-A15 application at a time."""
-    law = _static_law(x)
-    binding: tuple[tuple[str, str], ...] = ()
-    if steps is not None and law in ("A10", "A11", "A14"):
-        binding = (("name", x.body.name),)
-    parts = _static_summands(law, x)
-    _record(steps, law, pos, binding=binding)
-    # the summands are static operators (A12, A15) or prefixes whose
-    # continuations are (A5-A7, A10, A11, A14), over expanded operands;
-    # they are eliminated directly, without walking the operands again
-    n = len(parts)
-    return t.nest_right([
-        _eliminate(p, _summand_at(pos, i, n), steps) if law in ("A12", "A15")
-        else t.Prefix(p.name, p.rate, _eliminate(p.body, _at(_summand_at(pos, i, n), 0), steps))
-        for i, p in enumerate(parts)
-    ])
+class _Engine:
+    """One run of the rewriting engine, for one normalize, expand_static
+    or axiom_prove call.
+
+    Each method rewrites the subterm at position pos of the whole term
+    and appends each step to steps.  Untraced, steps and pos are None,
+    and no positions are built.  Each distinct redex is eliminated, and
+    each distinct expanded term canonicalized, once per run: the result
+    is memoized on the term.  A traced run records a subterm's steps once,
+    relative to the subterm's root, and stands (position, steps, size) for
+    them in steps at every position where the subterm occurs; normalize
+    replays them with the position prepended.  The engine is
+    deterministic in the subterm, so the trace is the one a walk of the
+    whole tree would record.
+    """
+
+    def __init__(self, traced: bool = False):
+        self.traced = traced
+        self.steps: list | None = None
+        self.eliminated: dict = {}
+        self.canonical: dict = {}
+
+    def _once(self, memo: dict, work, x: t.ProcessTerm, pos: Path | None):
+        """work(x, pos), computed once per distinct x."""
+        entry = memo.get(x)
+        if self.steps is None:
+            if entry is None:
+                entry = memo[x] = work(x, None)
+            return entry
+        if entry is None:
+            outer, self.steps = self.steps, []
+            result = work(x, ())
+            entry = memo[x] = result, self.steps, _size(self.steps)
+            self.steps = outer
+        result, steps, size = entry
+        if size:
+            self.steps.append((pos, steps, size))
+        return result
+
+    def record(self, law: str, pos: Path | None, direction: str = "lr", binding=()) -> None:
+        if self.steps is not None:
+            self.steps.append(RewriteStep(law, pos, direction, binding))
+
+    def expand(self, x: t.ProcessTerm, pos: Path | None) -> t.ProcessTerm:
+        """Innermost elimination of every static operator in x."""
+        if isinstance(x, t.Prefix):
+            return t.Prefix(x.name, x.rate, self.expand(x.body, _at(pos, 0)))
+        if isinstance(x, t.Choice):
+            # nil summands are dropped on the way (A1, A3), keeping operand
+            # sums in the prefix-sum shape the laws expect
+            left = self.expand(x.left, _at(pos, 0))
+            right = self.expand(x.right, _at(pos, 1))
+            if right == t.NIL:
+                self.record("A3", pos)
+                return left
+            if left == t.NIL:
+                self.record("A1", pos)
+                self.record("A3", pos)
+                return right
+            return t.Choice(left, right)
+        if isinstance(x, (t.Parallel, t.Hide, t.Relabel)):
+            kids = [self.expand(k, _at(pos, i)) for i, k in enumerate(t.children(x))]
+            return self.eliminate(t.with_children(x, kids), pos)
+        return x
+
+    def eliminate(self, x: t.ProcessTerm, pos: Path | None) -> t.ProcessTerm:
+        """Eliminate the static operator at the root of x, whose operands
+        are already expanded, one A5-A15 application at a time."""
+        return self._once(self.eliminated, self._eliminate, x, pos)
+
+    def _eliminate(self, x: t.ProcessTerm, pos: Path | None) -> t.ProcessTerm:
+        law = _static_law(x)
+        binding: tuple[tuple[str, str], ...] = ()
+        if self.steps is not None and law in ("A10", "A11", "A14"):
+            binding = (("name", x.body.name),)
+        parts = _static_summands(law, x)
+        self.record(law, pos, binding=binding)
+        # the summands are static operators (A12, A15) or prefixes whose
+        # continuations are (A5-A7, A10, A11, A14), over expanded operands;
+        # they are eliminated directly, without walking the operands again
+        n = len(parts)
+        return t.nest_right([
+            self.eliminate(p, _summand_at(pos, i, n)) if law in ("A12", "A15")
+            else t.Prefix(p.name, p.rate, self.eliminate(p.body, _at(_summand_at(pos, i, n), 0)))
+            for i, p in enumerate(parts)
+        ])
+
+    def flatten(self, term: t.ProcessTerm, pos: Path | None) -> list[t.ProcessTerm]:
+        """Summands of the sum at pos, which A2 rotations nest to the right."""
+        if self.steps is None:
+            return t.summand_list(term)
+        parts = []
+        while isinstance(term, t.Choice):
+            if isinstance(term.left, t.Choice):
+                self.steps.append(RewriteStep("A2", pos))
+                term = t.Choice(term.left.left, t.Choice(term.left.right, term.right))
+            else:
+                parts.append(term.left)
+                term, pos = term.right, pos + (1,)
+        parts.append(term)
+        return parts
+
+    def sort_summands(self, items: list, key, pos: Path | None) -> list:
+        """Stable sort by key of the summands of the right-nested sum at
+        pos, one item each, as swaps of adjacent summands (A1, with A2
+        around it inside the spine)."""
+        steps = self.steps
+        if steps is None:
+            return sorted(items, key=key)
+        items, keys, n = list(items), [key(item) for item in items], len(items)
+        for i in range(1, n):
+            for j in range(i, 0, -1):
+                if not keys[j - 1] > keys[j]:
+                    break
+                at = pos + (1,) * (j - 1)
+                if j == n - 1:
+                    steps.append(RewriteStep("A1", at))
+                else:
+                    steps += [RewriteStep("A2", at, "rl"), RewriteStep("A1", at + (0,)),
+                              RewriteStep("A2", at)]
+                items[j - 1], items[j] = items[j], items[j - 1]
+                keys[j - 1], keys[j] = keys[j], keys[j - 1]
+        return items
+
+    def canon(self, term: t.ProcessTerm, pos: Path | None) -> tuple:
+        """The canonical form of an expanded term, which holds no nil
+        summands, with its sort key and, for an exponentially timed
+        prefix, its A4 key (None otherwise)."""
+        return self._once(self.canonical, self._canon, term, pos)
+
+    def _canon(self, term: t.ProcessTerm, pos: Path | None) -> tuple:
+        # Bottom up, each sum is flattened, each of its A4 groups is merged
+        # once, in the order of their first members, and it is sorted.  One
+        # pass is enough: a merged group is one prefix with the group's A4
+        # key, which no other summand has.
+        if isinstance(term, t.Prefix):
+            body, body_key, _ = self.canon(term.body, _at(pos, 0))
+            name, rate = term.name, term.rate
+            node = t.Prefix(name, rate, body)
+            # performance closure is checked before expansion, so every
+            # prefix body is nil or a sum of exponentially timed prefixes,
+            # which _a4_key accepts
+            return node, (1, 0 if name == t.TAU else 1, name, 1 if rate.passive else 0,
+                          rate.value, body_key), None if rate.passive else _a4_key(node)
+        if not isinstance(term, t.Choice):
+            return term, (0,), None
+        parts = self.flatten(term, pos)
+        n = len(parts)
+        items = [self.canon(part, _summand_at(pos, i, n)) for i, part in enumerate(parts)]
+        for group, size in Counter(a4 for _, _, a4 in items if a4 is not None).items():
+            if size < 2:
+                continue
+            # a stable partition floats the group to the tail of the spine,
+            # where a contiguous sum is an addressable subterm
+            items = self.sort_summands(items, lambda item: item[2] == group, pos)
+            start = len(items) - size
+            merge_at = _at(pos, *(1,) * start)
+            self.record("A4", merge_at, binding=(("width", str(size)),))
+            merged = a4_merge([p for p, _, _ in items[start:]])
+            items[start:] = [self.canon(merged, merge_at)]
+        items = self.sort_summands(items, lambda item: item[1], pos)
+        if len(items) == 1:  # merged down to one prefix, which sorts as one
+            return items[0]
+        return t.nest_right([p for p, _, _ in items]), (2, tuple(key for _, key, _ in items)), None
+
+    def normalize(self, term: t.ProcessTerm,
+                  state_bound: int) -> tuple[t.ProcessTerm, list[RewriteStep] | None]:
+        """The normal form of term, with its trace when the run is traced."""
+        if not build_lts(term, state_bound).performance_closed:
+            raise NotPerformanceClosed("normalization is defined for performance-closed terms")
+        _require_nonrecursive(term)
+        if not self.traced:
+            return self.canon(self.expand(term, None), None)[0], None
+        self.steps = []
+        normal = self.canon(self.expand(term, ()), ())[0]
+        _size(self.steps)
+        trace: list[RewriteStep] = []
+        _replay(self.steps, (), trace)
+        return normal, trace
 
 
 def expand_static(term: t.ProcessTerm) -> t.ProcessTerm:
     """Remove Parallel/Hide/Relabel by innermost application of A5-A15."""
     _require_nonrecursive(term)
-    return _expand(term, None, None)
-
-
-def _flatten(term: t.ProcessTerm, pos: Path | None, steps) -> list[t.ProcessTerm]:
-    """Summands of the sum at pos, which A2 rotations nest to the right."""
-    if steps is None:
-        return t.summand_list(term)
-    parts = []
-    while isinstance(term, t.Choice):
-        if isinstance(term.left, t.Choice):
-            steps.append(RewriteStep("A2", pos))
-            term = t.Choice(term.left.left, t.Choice(term.left.right, term.right))
-        else:
-            parts.append(term.left)
-            term, pos = term.right, pos + (1,)
-    parts.append(term)
-    return parts
-
-
-def _sort_summands(items: list, key, pos: Path | None, steps) -> list:
-    """Stable sort by key of the summands of the right-nested sum at pos,
-    one item each, as swaps of adjacent summands (A1, with A2 around it
-    inside the spine)."""
-    if steps is None:
-        return sorted(items, key=key)
-    items, keys, n = list(items), [key(item) for item in items], len(items)
-    for i in range(1, n):
-        for j in range(i, 0, -1):
-            if not keys[j - 1] > keys[j]:
-                break
-            at = pos + (1,) * (j - 1)
-            if j == n - 1:
-                steps.append(RewriteStep("A1", at))
-            else:
-                steps += [RewriteStep("A2", at, "rl"), RewriteStep("A1", at + (0,)),
-                          RewriteStep("A2", at)]
-            items[j - 1], items[j] = items[j], items[j - 1]
-            keys[j - 1], keys[j] = keys[j], keys[j - 1]
-    return items
-
-
-def _canon(term: t.ProcessTerm, pos: Path | None, steps) -> tuple[t.ProcessTerm, tuple]:
-    """The canonical form of an expanded term, which holds no nil
-    summands, with its sort key.  Bottom up, each sum is flattened, each
-    of its A4 groups is merged once, in the order of their first members,
-    and it is sorted.  One pass is enough: a merged group is one prefix
-    with the group's A4 key, which no other summand has."""
-    if isinstance(term, t.Prefix):
-        body, body_key = _canon(term.body, _at(pos, 0), steps)
-        name, rate = term.name, term.rate
-        return t.Prefix(name, rate, body), (
-            1, 0 if name == t.TAU else 1, name, 1 if rate.passive else 0, rate.value, body_key)
-    if not isinstance(term, t.Choice):
-        return term, (0,)
-    parts = _flatten(term, pos, steps)
-    n = len(parts)
-    # (summand, sort key, A4 key or None); performance closure is checked
-    # before expansion, so every prefix body is nil or a sum of
-    # exponentially timed prefixes, which _a4_key accepts
-    items = []
-    for i, part in enumerate(parts):
-        p, key = _canon(part, _summand_at(pos, i, n), steps)
-        exponential = isinstance(p, t.Prefix) and not p.rate.passive
-        items.append((p, key, _a4_key(p) if exponential else None))
-    for group, size in Counter(a4 for _, _, a4 in items if a4 is not None).items():
-        if size < 2:
-            continue
-        # a stable partition floats the group to the tail of the spine,
-        # where a contiguous sum is an addressable subterm
-        items = _sort_summands(items, lambda item: item[2] == group, pos, steps)
-        start = len(items) - size
-        merge_at = _at(pos, *(1,) * start)
-        _record(steps, "A4", merge_at, binding=(("width", str(size)),))
-        merged = a4_merge([p for p, _, _ in items[start:]])
-        items[start:] = [(*_canon(merged, merge_at, steps), group)]
-    items = _sort_summands(items, lambda item: item[1], pos, steps)
-    if len(items) == 1:  # merged down to one prefix, which sorts as one
-        return items[0][:2]
-    return t.nest_right([p for p, _, _ in items]), (2, tuple(key for _, key, _ in items))
-
-
-def _normalize(term: t.ProcessTerm, state_bound: int, steps) -> t.ProcessTerm:
-    if not build_lts(term, state_bound).performance_closed:
-        raise NotPerformanceClosed("normalization is defined for performance-closed terms")
-    _require_nonrecursive(term)
-    pos = None if steps is None else ()
-    return _canon(_expand(term, pos, steps), pos, steps)[0]
+    return _Engine().expand(term, None)
 
 
 def normalize(term: t.ProcessTerm, state_bound: int = 10000) -> t.ProcessTerm:
@@ -402,15 +483,15 @@ def normalize(term: t.ProcessTerm, state_bound: int = 10000) -> t.ProcessTerm:
     to exponentially timed prefix trees, which A4 can always merge when
     its cumulative-rate condition holds.
     """
-    return _normalize(term, state_bound, None)
+    return _Engine().normalize(term, state_bound)[0]
 
 
 def normalize_with_trace(
     term: t.ProcessTerm, state_bound: int = 10000
 ) -> tuple[t.ProcessTerm, list[RewriteStep]]:
-    """normalize, with the replayable rewrite sequence it took."""
-    steps: list[RewriteStep] = []
-    return _normalize(term, state_bound, steps), steps
+    """normalize, with the replayable rewrite sequence it took.  A trace
+    longer than TRACE_STEP_BUDGET steps raises CalcError."""
+    return _Engine(traced=True).normalize(term, state_bound)
 
 
 @d.dataclass(frozen=True)
@@ -436,8 +517,9 @@ def axiom_prove(
     """Prove p1 = p2 by comparing normal forms; on failure consult the
     decision procedure so completeness gaps of the strategy are visible
     rather than silent."""
-    n1, trace1 = normalize_with_trace(p1, state_bound)
-    n2, trace2 = normalize_with_trace(p2, state_bound)
+    engine = _Engine(traced=True)  # law twins share most subterms
+    n1, trace1 = engine.normalize(p1, state_bound)
+    n2, trace2 = engine.normalize(p2, state_bound)
     proved = n1 == n2
     decided = proved or decide_equiv(p1, p2, state_bound, with_test_witness=False).equivalent
     return ProveReport(proved, n1, n2, tuple(trace1), tuple(trace2), decided)

@@ -32,13 +32,16 @@ each deeper body reduced to "true or not".  A formula whose cut an
 earlier formula already had takes the same values as that formula on
 both sides at every swept theta, so it cannot show a difference that the
 earlier one did not; it is counted in formulas_checked but not
-evaluated again, and the report stays the one of the full sweep.
+evaluated again, and the report stays the one of the full sweep.  Which
+formulas are evaluated depends only on the names and the two depths, so
+that list is worked out once for each and kept in a small cache.
 """
 
 from __future__ import annotations
 
 import dataclasses as d
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product as cartesian
 from typing import Iterable, Sequence
 
@@ -339,6 +342,28 @@ def _cut(formula: Formula, depth: int) -> object:
     return ("\\/", _cut(formula.left, depth), _cut(formula.right, depth))
 
 
+@lru_cache(maxsize=32)
+def _sweep(names: tuple[str, ...], formula_depth: int,
+           length: int) -> tuple[tuple[tuple[int, Formula], ...], int]:
+    """The formulas a sweep evaluates, each with its place (from 1) in
+    enumerate_formulas(names, formula_depth), and the number enumerated.
+
+    A formula is evaluated only if no earlier one has its cut at thetas
+    of at most length entries: the later one shows no difference the
+    earlier did not.  Formulas with a repeated cut still count in
+    formulas_checked.
+    """
+    formulas = enumerate_formulas(names, formula_depth)
+    swept: set[object] = set()
+    firsts = []
+    for place, formula in enumerate(formulas, 1):
+        cut = _cut(formula, length)
+        if cut not in swept:
+            swept.add(cut)
+            firsts.append((place, formula))
+    return tuple(firsts), len(formulas)
+
+
 @d.dataclass(frozen=True)
 class CharReport:
     """Outcome of a formula-grid sweep against the decider verdict."""
@@ -379,7 +404,6 @@ def characterization_check(p1: t.ProcessTerm, p2: t.ProcessTerm, *,
     left = _Semantics(p1, state_bound)
     right = _Semantics(p2, state_bound)
     names = sorted(left.lts.visible_names() | right.lts.visible_names())
-    formulas = enumerate_formulas(names, formula_depth)
     values = _time_grid((left, right), names, grid_cap)
     thetas = [(theta, left.intern(theta), right.intern(theta))
               for theta in (make_theta(combo)
@@ -387,18 +411,12 @@ def characterization_check(p1: t.ProcessTerm, p2: t.ProcessTerm, *,
                             for combo in cartesian(values, repeat=size))]
     equivalent = prob_language_equiv(embed(left.lts), embed(right.lts)).equivalent
 
-    swept: set[object] = set()
-    checked = 0
-    for formula in formulas:
-        checked += 1
-        cut = _cut(formula, length)
-        if cut in swept:
-            continue  # an earlier formula with this cut showed no difference
-        swept.add(cut)
+    firsts, total = _sweep(tuple(names), formula_depth, length)
+    for checked, formula in firsts:
         for theta, left_id, right_id in thetas:
             value_left = left.value(0, False, left_id, formula)
             value_right = right.value(0, False, right_id, formula)
             if value_left != value_right:
                 return CharReport(False, equivalent, formula, theta,
                                   value_left, value_right, checked)
-    return CharReport(True, equivalent, None, None, None, None, checked)
+    return CharReport(True, equivalent, None, None, None, None, total)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from fractions import Fraction
 from random import Random
@@ -7,14 +8,15 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mpcalc import terms as t
+from mpcalc import axioms, terms as t
 from mpcalc.axioms import (RewriteStep, apply_law, axiom_prove, expand_static,
                            normalize, normalize_with_trace, subterm_at)
 from mpcalc.axioms import LAW_IDS
 from mpcalc.corpus import (a4_instance, a4_violation, law_instance,
                            random_pair, random_term, sound_steps)
 from mpcalc.decider import decide_equiv
-from mpcalc.errors import LawError, NotPerformanceClosed, NotWellFormed
+from mpcalc.cli import main
+from mpcalc.errors import CalcError, LawError, NotPerformanceClosed, NotWellFormed
 from mpcalc.parser import parse_term
 from mpcalc.semantics import derive_transitions
 
@@ -224,3 +226,101 @@ def test_a4_generators():
     assert decide_equiv(satisfying, merged).equivalent
     lhs, rhs = a4_violation(rng)
     assert not decide_equiv(lhs, rhs).equivalent
+
+
+def _chains(count, length):
+    """count parallel chains of length prefixes, all names distinct."""
+    names = iter("abcdefghijklmnopqrstuvwxy")
+    return " |[]| ".join(".".join(f"<{next(names)},1>" for _ in range(length)) + ".0"
+                         for _ in range(count))
+
+
+def _distinct_subterms(term):
+    seen, todo = set(), [term]
+    while todo:
+        sub = todo.pop()
+        if sub not in seen:
+            seen.add(sub)
+            todo.extend(t.children(sub))
+    return seen
+
+
+def _counting_static_summands(monkeypatch):
+    redexes = Counter()
+    real = axioms._static_summands
+
+    def counting(law, x):
+        redexes[x] += 1
+        return real(law, x)
+
+    monkeypatch.setattr(axioms, "_static_summands", counting)
+    return redexes
+
+
+def test_each_distinct_redex_is_eliminated_once(monkeypatch):
+    # the tree of three parallel 4-prefix chains has 179,549 nodes in
+    # normal form; the walk is over its distinct subterms
+    redexes = _counting_static_summands(monkeypatch)
+    normal = normalize(parse_term(_chains(3, 4)))
+    assert sum(redexes.values()) <= len(_distinct_subterms(normal))
+    assert set(redexes.values()) == {1}
+
+
+def test_a_shared_subterm_is_rewritten_once_and_replayed_at_each_position(monkeypatch):
+    redexes = _counting_static_summands(monkeypatch)
+    shared = "(<c,1>.0 |[]| <d,2>.<c,1>.0)"
+    source = parse_term(f"<a,1>.{shared} + <b,1>.{shared}")
+    normal, steps = normalize_with_trace(source)
+    assert redexes[parse_term(shared)] == 1
+    assert RewriteStep("A5", (0, 0)) in steps and RewriteStep("A5", (1, 0)) in steps
+    assert _replay(source, steps) == normal == normalize(source)
+
+
+def _parallel_terms(rng, count):
+    """3-way parallel compositions of short chains over a and b."""
+    rates = [Fraction(n, m) for n in range(1, 10) for m in (1, 2, 3)]
+    return [parse_term(" |[]| ".join(
+        ".".join(f"<{rng.choice('ab')},{rng.choice(rates)}>" for _ in range(size)) + ".0"
+        for size in (2, 2, 3))) for _ in range(count)]
+
+
+def _digest(outcomes):
+    """First 12 hex digits of the SHA-1 of the outcomes, one line each."""
+    return hashlib.sha1("\n".join(outcomes).encode()).hexdigest()[:12]
+
+
+def _traced(term):
+    normal, steps = normalize_with_trace(term)
+    assert normalize(term) == normal
+    return f"{t.pretty(normal)} | {'; '.join(map(str, steps))}"
+
+
+def _proved(left, right):
+    report = axiom_prove(left, right)
+    return " | ".join([str(report.proved), str(report.decider_equivalent),
+                       "; ".join(map(str, report.trace_left)),
+                       "; ".join(map(str, report.trace_right))])
+
+
+def test_normal_forms_and_traces_are_pinned():
+    # digests computed with an engine that walks the expanded tree without
+    # sharing subterms: sharing must not change a byte
+    parallel = _parallel_terms(Random(4), 30)
+    rng = Random(5)
+    pairs = [random_pair(rng, depth=3, max_states=8) for _ in range(300)]
+    sides = [term for pair in pairs for term in (pair.left, pair.right)]
+    assert _digest(_traced(term) for term in parallel) == "84b111deba47"
+    assert _digest(_traced(term) for term in sides) == "3cb6661d75f6"
+    assert _digest(_proved(pair.left, pair.right) for pair in pairs) == "cdcc21cdb36a"
+
+
+def test_a_trace_past_the_step_budget_is_refused(capsys):
+    # four parallel 3-prefix chains have 256 states; their normal form is
+    # a tree of 1,846,895 nodes and its trace 1,113,014 steps
+    source = _chains(4, 3)
+    term = parse_term(source)
+    assert [p.name for p in t.summand_list(normalize(term))] == ["a", "d", "g", "j"]
+    with pytest.raises(CalcError, match="TRACE_STEP_BUDGET"):
+        axiom_prove(term, term)
+    assert main(["prove", "-p1", source, "-p2", source]) == 2
+    assert "TRACE_STEP_BUDGET" in capsys.readouterr().err
