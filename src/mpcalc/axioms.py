@@ -26,19 +26,22 @@ summands that meets A4's side condition once, and sort it under a fixed
 total order.  One pass per sum is enough, because a merged group is one
 prefix with the group's A4 key, which no other summand has.
 expand_static, normalize, normalize_with_trace and axiom_prove run one
-recursive engine.  For normalize_with_trace it also records, where the
-strategy rewrites, the single law application each change amounts to, so
-the trace replays through apply_law to the normal form.
+recursive engine on one path.  Every run records, where the strategy
+rewrites, the single law application each change amounts to, so the
+record replays through apply_law to the normal form.  normalize and
+expand_static drop the record; normalize_with_trace and axiom_prove
+replay it as their trace.
 
 A parallel composition repeats the same continuations at many positions
 of its expanded tree, which can be exponentially larger than its LMTS.
 So each call works on distinct subterms: it eliminates each distinct
 redex and canonicalizes each distinct expanded term once (axiom_prove's
-two sides share this memo), and a trace records a shared subterm's steps
-once, relative to its root, and replays them at each position.  The
-trace itself is as long as the tree; past TRACE_STEP_BUDGET steps it is
-refused with a CalcError.  Untraced normal forms share their subterms
-and have no budget.
+two sides share this memo), and records a shared subterm's steps once,
+relative to its root, to be replayed at each position.  The trace itself
+is as long as the tree, so its length is read off the record before it
+is replayed; past TRACE_STEP_BUDGET steps it is refused with a
+CalcError.  Untraced normal forms share their subterms and have no
+budget.
 """
 
 from __future__ import annotations
@@ -48,9 +51,9 @@ from collections import Counter
 from fractions import Fraction
 
 from . import terms as t
-from .decider import decide_equiv
+from .decider import embed, prob_language_equiv
 from .errors import CalcError, LawError, NotPerformanceClosed, NotWellFormed
-from .semantics import Entry, build_lts, compose_parallel
+from .semantics import LMTS, Entry, build_lts, compose_parallel
 
 LAW_IDS = tuple(f"A{i}" for i in range(1, 16))
 
@@ -255,69 +258,63 @@ def _require_nonrecursive(term: t.ProcessTerm) -> None:
 TRACE_STEP_BUDGET = 100_000
 
 
-def _at(pos: Path | None, *path: int) -> Path | None:
-    return None if pos is None else pos + path
-
-
-def _summand_at(pos: Path | None, i: int, n: int) -> Path | None:
+def _summand_at(pos: Path, i: int, n: int) -> Path:
     """Position of summand i of the right-nested sum of n summands at pos."""
-    if pos is None:
-        return None
     return pos + (1,) * i + ((0,) if i < n - 1 else ())
 
 
 def _size(steps: list) -> int:
-    """Length of a recorded trace, found without replaying it; past
-    TRACE_STEP_BUDGET the trace is refused."""
-    size = sum(item[2] if isinstance(item, tuple) else 1 for item in steps)
-    if size > TRACE_STEP_BUDGET:
-        raise CalcError(f"the rewrite trace is longer than TRACE_STEP_BUDGET "
-                        f"({TRACE_STEP_BUDGET} steps)")
-    return size
+    """Length of a recorded run's trace, found without replaying it."""
+    return sum(1 if isinstance(item[0], str) else item[2] for item in steps)
 
 
 def _replay(steps: list, prefix: Path, out: list[RewriteStep]) -> None:
-    """Append a recorded trace to out, each position prefixed with prefix."""
+    """Append a recorded run's trace to out, each position prefixed with
+    prefix."""
     for item in steps:
-        if isinstance(item, tuple):
+        if isinstance(item[0], str):
+            law, pos, direction, binding = item
+            out.append(RewriteStep(law, prefix + pos, direction, binding))
+        else:
             at, shared, _ = item
             _replay(shared, prefix + at, out)
-        elif prefix:
-            out.append(RewriteStep(item.law, prefix + item.position, item.direction,
-                                   item.binding))
-        else:
-            out.append(item)
+
+
+def _trace(steps: list) -> list[RewriteStep]:
+    """The trace of a recorded run; past TRACE_STEP_BUDGET steps it is
+    refused before any step is replayed."""
+    if _size(steps) > TRACE_STEP_BUDGET:
+        raise CalcError(f"the rewrite trace is longer than TRACE_STEP_BUDGET "
+                        f"({TRACE_STEP_BUDGET} steps)")
+    trace: list[RewriteStep] = []
+    _replay(steps, (), trace)
+    return trace
 
 
 class _Engine:
     """One run of the rewriting engine, for one normalize, expand_static
     or axiom_prove call.
 
-    Each method rewrites the subterm at position pos of the whole term
-    and appends each step to steps.  Untraced, steps and pos are None,
-    and no positions are built.  Each distinct redex is eliminated, and
-    each distinct expanded term canonicalized, once per run: the result
-    is memoized on the term.  A traced run records a subterm's steps once,
-    relative to the subterm's root, and stands (position, steps, size) for
-    them in steps at every position where the subterm occurs; normalize
-    replays them with the position prepended.  The engine is
-    deterministic in the subterm, so the trace is the one a walk of the
-    whole tree would record.
+    Each method rewrites the subterm at position pos of the whole term and
+    records each step in steps as a (law, position, direction, binding)
+    tuple.  Each distinct redex is eliminated, and each distinct expanded
+    term canonicalized, once per run: the result is memoized on the term
+    with the steps it took, recorded relative to the subterm's root, and
+    (position, steps, size) stands for them at every position where the
+    subterm occurs.  The engine is deterministic in the subterm, so this
+    record is the trace a walk of the whole tree would take.  Untraced
+    callers drop it; traced ones check its size against TRACE_STEP_BUDGET
+    and only then replay it, with the positions prepended.
     """
 
-    def __init__(self, traced: bool = False):
-        self.traced = traced
-        self.steps: list | None = None
+    def __init__(self):
+        self.steps: list = []
         self.eliminated: dict = {}
         self.canonical: dict = {}
 
-    def _once(self, memo: dict, work, x: t.ProcessTerm, pos: Path | None):
+    def _once(self, memo: dict, work, x: t.ProcessTerm, pos: Path):
         """work(x, pos), computed once per distinct x."""
         entry = memo.get(x)
-        if self.steps is None:
-            if entry is None:
-                entry = memo[x] = work(x, None)
-            return entry
         if entry is None:
             outer, self.steps = self.steps, []
             result = work(x, ())
@@ -328,19 +325,18 @@ class _Engine:
             self.steps.append((pos, steps, size))
         return result
 
-    def record(self, law: str, pos: Path | None, direction: str = "lr", binding=()) -> None:
-        if self.steps is not None:
-            self.steps.append(RewriteStep(law, pos, direction, binding))
+    def record(self, law: str, pos: Path, direction: str = "lr", binding=()) -> None:
+        self.steps.append((law, pos, direction, binding))
 
-    def expand(self, x: t.ProcessTerm, pos: Path | None) -> t.ProcessTerm:
+    def expand(self, x: t.ProcessTerm, pos: Path) -> t.ProcessTerm:
         """Innermost elimination of every static operator in x."""
         if isinstance(x, t.Prefix):
-            return t.Prefix(x.name, x.rate, self.expand(x.body, _at(pos, 0)))
+            return t.Prefix(x.name, x.rate, self.expand(x.body, pos + (0,)))
         if isinstance(x, t.Choice):
             # nil summands are dropped on the way (A1, A3), keeping operand
             # sums in the prefix-sum shape the laws expect
-            left = self.expand(x.left, _at(pos, 0))
-            right = self.expand(x.right, _at(pos, 1))
+            left = self.expand(x.left, pos + (0,))
+            right = self.expand(x.right, pos + (1,))
             if right == t.NIL:
                 self.record("A3", pos)
                 return left
@@ -350,20 +346,18 @@ class _Engine:
                 return right
             return t.Choice(left, right)
         if isinstance(x, (t.Parallel, t.Hide, t.Relabel)):
-            kids = [self.expand(k, _at(pos, i)) for i, k in enumerate(t.children(x))]
+            kids = [self.expand(k, pos + (i,)) for i, k in enumerate(t.children(x))]
             return self.eliminate(t.with_children(x, kids), pos)
         return x
 
-    def eliminate(self, x: t.ProcessTerm, pos: Path | None) -> t.ProcessTerm:
+    def eliminate(self, x: t.ProcessTerm, pos: Path) -> t.ProcessTerm:
         """Eliminate the static operator at the root of x, whose operands
         are already expanded, one A5-A15 application at a time."""
         return self._once(self.eliminated, self._eliminate, x, pos)
 
-    def _eliminate(self, x: t.ProcessTerm, pos: Path | None) -> t.ProcessTerm:
+    def _eliminate(self, x: t.ProcessTerm, pos: Path) -> t.ProcessTerm:
         law = _static_law(x)
-        binding: tuple[tuple[str, str], ...] = ()
-        if self.steps is not None and law in ("A10", "A11", "A14"):
-            binding = (("name", x.body.name),)
+        binding = (("name", x.body.name),) if law in ("A10", "A11", "A14") else ()
         parts = _static_summands(law, x)
         self.record(law, pos, binding=binding)
         # the summands are static operators (A12, A15) or prefixes whose
@@ -372,18 +366,16 @@ class _Engine:
         n = len(parts)
         return t.nest_right([
             self.eliminate(p, _summand_at(pos, i, n)) if law in ("A12", "A15")
-            else t.Prefix(p.name, p.rate, self.eliminate(p.body, _at(_summand_at(pos, i, n), 0)))
+            else t.Prefix(p.name, p.rate, self.eliminate(p.body, _summand_at(pos, i, n) + (0,)))
             for i, p in enumerate(parts)
         ])
 
-    def flatten(self, term: t.ProcessTerm, pos: Path | None) -> list[t.ProcessTerm]:
+    def flatten(self, term: t.ProcessTerm, pos: Path) -> list[t.ProcessTerm]:
         """Summands of the sum at pos, which A2 rotations nest to the right."""
-        if self.steps is None:
-            return t.summand_list(term)
         parts = []
         while isinstance(term, t.Choice):
             if isinstance(term.left, t.Choice):
-                self.steps.append(RewriteStep("A2", pos))
+                self.record("A2", pos)
                 term = t.Choice(term.left.left, t.Choice(term.left.right, term.right))
             else:
                 parts.append(term.left)
@@ -391,13 +383,10 @@ class _Engine:
         parts.append(term)
         return parts
 
-    def sort_summands(self, items: list, key, pos: Path | None) -> list:
+    def sort_summands(self, items: list, key, pos: Path) -> list:
         """Stable sort by key of the summands of the right-nested sum at
         pos, one item each, as swaps of adjacent summands (A1, with A2
         around it inside the spine)."""
-        steps = self.steps
-        if steps is None:
-            return sorted(items, key=key)
         items, keys, n = list(items), [key(item) for item in items], len(items)
         for i in range(1, n):
             for j in range(i, 0, -1):
@@ -405,27 +394,28 @@ class _Engine:
                     break
                 at = pos + (1,) * (j - 1)
                 if j == n - 1:
-                    steps.append(RewriteStep("A1", at))
+                    self.record("A1", at)
                 else:
-                    steps += [RewriteStep("A2", at, "rl"), RewriteStep("A1", at + (0,)),
-                              RewriteStep("A2", at)]
+                    self.record("A2", at, "rl")
+                    self.record("A1", at + (0,))
+                    self.record("A2", at)
                 items[j - 1], items[j] = items[j], items[j - 1]
                 keys[j - 1], keys[j] = keys[j], keys[j - 1]
         return items
 
-    def canon(self, term: t.ProcessTerm, pos: Path | None) -> tuple:
+    def canon(self, term: t.ProcessTerm, pos: Path) -> tuple:
         """The canonical form of an expanded term, which holds no nil
         summands, with its sort key and, for an exponentially timed
         prefix, its A4 key (None otherwise)."""
         return self._once(self.canonical, self._canon, term, pos)
 
-    def _canon(self, term: t.ProcessTerm, pos: Path | None) -> tuple:
+    def _canon(self, term: t.ProcessTerm, pos: Path) -> tuple:
         # Bottom up, each sum is flattened, each of its A4 groups is merged
         # once, in the order of their first members, and it is sorted.  One
         # pass is enough: a merged group is one prefix with the group's A4
         # key, which no other summand has.
         if isinstance(term, t.Prefix):
-            body, body_key, _ = self.canon(term.body, _at(pos, 0))
+            body, body_key, _ = self.canon(term.body, pos + (0,))
             name, rate = term.name, term.rate
             node = t.Prefix(name, rate, body)
             # performance closure is checked before expansion, so every
@@ -445,7 +435,7 @@ class _Engine:
             # where a contiguous sum is an addressable subterm
             items = self.sort_summands(items, lambda item: item[2] == group, pos)
             start = len(items) - size
-            merge_at = _at(pos, *(1,) * start)
+            merge_at = pos + (1,) * start
             self.record("A4", merge_at, binding=(("width", str(size)),))
             merged = a4_merge([p for p, _, _ in items[start:]])
             items[start:] = [self.canon(merged, merge_at)]
@@ -454,26 +444,21 @@ class _Engine:
             return items[0]
         return t.nest_right([p for p, _, _ in items]), (2, tuple(key for _, key, _ in items)), None
 
-    def normalize(self, term: t.ProcessTerm,
-                  state_bound: int) -> tuple[t.ProcessTerm, list[RewriteStep] | None]:
-        """The normal form of term, with its trace when the run is traced."""
-        if not build_lts(term, state_bound).performance_closed:
+    def normalize(self, term: t.ProcessTerm, state_bound: int) -> tuple[t.ProcessTerm, LMTS, list]:
+        """The normal form of term, the LMTS its performance closure was
+        checked on, and the steps the run recorded."""
+        lts = build_lts(term, state_bound)
+        if not lts.performance_closed:
             raise NotPerformanceClosed("normalization is defined for performance-closed terms")
         _require_nonrecursive(term)
-        if not self.traced:
-            return self.canon(self.expand(term, None), None)[0], None
         self.steps = []
-        normal = self.canon(self.expand(term, ()), ())[0]
-        _size(self.steps)
-        trace: list[RewriteStep] = []
-        _replay(self.steps, (), trace)
-        return normal, trace
+        return self.canon(self.expand(term, ()), ())[0], lts, self.steps
 
 
 def expand_static(term: t.ProcessTerm) -> t.ProcessTerm:
     """Remove Parallel/Hide/Relabel by innermost application of A5-A15."""
     _require_nonrecursive(term)
-    return _Engine().expand(term, None)
+    return _Engine().expand(term, ())
 
 
 def normalize(term: t.ProcessTerm, state_bound: int = 10000) -> t.ProcessTerm:
@@ -491,7 +476,8 @@ def normalize_with_trace(
 ) -> tuple[t.ProcessTerm, list[RewriteStep]]:
     """normalize, with the replayable rewrite sequence it took.  A trace
     longer than TRACE_STEP_BUDGET steps raises CalcError."""
-    return _Engine(traced=True).normalize(term, state_bound)
+    normal, _, steps = _Engine().normalize(term, state_bound)
+    return normal, _trace(steps)
 
 
 @d.dataclass(frozen=True)
@@ -514,12 +500,14 @@ def axiom_prove(
     *,
     state_bound: int = 10000,
 ) -> ProveReport:
-    """Prove p1 = p2 by comparing normal forms; on failure consult the
-    decision procedure so completeness gaps of the strategy are visible
-    rather than silent."""
-    engine = _Engine(traced=True)  # law twins share most subterms
-    n1, trace1 = engine.normalize(p1, state_bound)
-    n2, trace2 = engine.normalize(p2, state_bound)
+    """Prove p1 = p2 by comparing normal forms; on failure decide the pair
+    on the two LMTSs normalization built, so completeness gaps of the
+    strategy are visible rather than silent."""
+    engine = _Engine()  # law twins share most subterms
+    n1, lts1, steps = engine.normalize(p1, state_bound)
+    trace1 = _trace(steps)
+    n2, lts2, steps = engine.normalize(p2, state_bound)
+    trace2 = _trace(steps)
     proved = n1 == n2
-    decided = proved or decide_equiv(p1, p2, state_bound, with_test_witness=False).equivalent
+    decided = proved or prob_language_equiv(embed(lts1), embed(lts2)).equivalent
     return ProveReport(proved, n1, n2, tuple(trace1), tuple(trace2), decided)

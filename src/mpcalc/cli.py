@@ -29,6 +29,11 @@ from .rates import avg_sojourn, rate_t
 from .semantics import build_lts, export_dot, export_json
 from .testing import canonical_tests, parse_test, prob_pass
 
+# Past this many term nodes or tests, normalize, prove and gen-tests
+# refuse to print: a normal form shares its subterms, but its printed
+# tree can be exponentially larger than its LMTS.
+OUTPUT_BUDGET = 100_000
+
 
 def _decimal(value: Fraction) -> str:
     with localcontext() as ctx:
@@ -53,6 +58,21 @@ def parse_theta(text: str):
         return make_theta(Fraction(part) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise CalcError(f"bad theta {text!r}: {exc}") from exc
+
+
+def _check_output(size: int, what: str) -> None:
+    if size > OUTPUT_BUDGET:
+        raise CalcError(f"the output would hold more than OUTPUT_BUDGET "
+                        f"({OUTPUT_BUDGET}) {what}")
+
+
+def _tree_size(term: t.ProcessTerm, sizes: dict) -> int:
+    """Nodes of the printed tree of term, each distinct subterm counted
+    once and remembered in sizes."""
+    size = sizes.get(term)
+    if size is None:
+        size = sizes[term] = 1 + sum(_tree_size(kid, sizes) for kid in t.children(term))
+    return size
 
 
 class _Output:
@@ -163,6 +183,7 @@ def _cmd_eval_formula(args, out: _Output) -> int:
 def _cmd_normalize(args, out: _Output) -> int:
     term = parse_term(args.term)
     normal = normalize(term, state_bound=args.state_bound)
+    _check_output(_tree_size(normal, {}), "term nodes")
     out.say(str(normal))
     out.result = {"normal_form": str(normal)}
     return 0
@@ -172,6 +193,9 @@ def _cmd_prove(args, out: _Output) -> int:
     p1 = parse_term(args.p1)
     p2 = parse_term(args.p2)
     report = axiom_prove(p1, p2, state_bound=args.state_bound)
+    sizes: dict = {}
+    _check_output(_tree_size(report.normal_left, sizes)
+                  + _tree_size(report.normal_right, sizes), "term nodes")
     out.result = {"proved": report.proved,
                   "normal_left": str(report.normal_left),
                   "normal_right": str(report.normal_right),
@@ -196,10 +220,20 @@ def _cmd_prove(args, out: _Output) -> int:
 
 def _cmd_gen_tests(args, out: _Output) -> int:
     names = [n for n in args.environment.split(",") if n]
-    tests = list(canonical_tests(names, args.depth))
-    for test in tests:
-        out.say(str(test))
-    out.result = {"count": len(tests), "tests": [str(x) for x in tests]}
+    tests = canonical_tests(names, args.depth)  # checks names and depth
+    # k names give k * 2^(k-1) tests per test of the level above: one per
+    # name of each nonempty subset
+    k, count, level = len(set(names)), 0, 1
+    for _ in range(args.depth + 1):
+        count += level
+        level *= k * 2 ** k // 2
+        if count > OUTPUT_BUDGET or not level:
+            break
+    _check_output(count, "tests")
+    texts = [str(test) for test in tests]
+    for text in texts:
+        out.say(text)
+    out.result = {"count": len(texts), "tests": texts}
     return 0
 
 

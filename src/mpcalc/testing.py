@@ -308,6 +308,8 @@ def canonical_tests(names, depth: int) -> Iterator[Test]:
         failures = {b: t.Prefix(b, _ONE, _FAILURE) for b in universe}
         layer = {t.SUCCESS: test.root}
         for level in range(1, depth + 1):
+            if not layer:  # no names: s is the only test
+                return
             previous, layer = layer, {}
             known = {_FAILURE: _FAILURE_STATE, **previous}
             for environment in environments:

@@ -8,7 +8,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mpcalc import axioms, terms as t
+from mpcalc import axioms, decider, terms as t
 from mpcalc.axioms import (RewriteStep, apply_law, axiom_prove, expand_static,
                            normalize, normalize_with_trace, subterm_at)
 from mpcalc.axioms import LAW_IDS
@@ -18,7 +18,7 @@ from mpcalc.decider import decide_equiv
 from mpcalc.cli import main
 from mpcalc.errors import CalcError, LawError, NotPerformanceClosed, NotWellFormed
 from mpcalc.parser import parse_term
-from mpcalc.semantics import derive_transitions
+from mpcalc.semantics import build_lts, derive_transitions
 
 
 def test_apply_commutativity_at_root():
@@ -146,6 +146,22 @@ def test_prove_spec_pairs():
     assert not timed.proved
     assert timed.decider_equivalent is False
     assert not timed.completeness_gap
+
+
+def test_prove_builds_each_side_once(monkeypatch):
+    # an unproved pair is decided on the LMTSs normalization built
+    built = []
+
+    def counting_build_lts(term, state_bound=10000, **kwargs):
+        built.append(term)
+        return build_lts(term, state_bound, **kwargs)
+
+    for module in (axioms, decider):
+        monkeypatch.setattr(module, "build_lts", counting_build_lts)
+    left, right = parse_term("<tau,2>.0"), parse_term("<tau,1>.0")
+    report = axiom_prove(left, right)
+    assert built == [left, right]
+    assert not report.proved and report.decider_equivalent is False
 
 
 def _replay(term, steps):

@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from mpcalc import cli
+from mpcalc import cli, testing
 from mpcalc.cli import main
+from mpcalc.testing import canonical_tests
 
 
 def run(capsys, *argv):
@@ -113,6 +115,33 @@ def test_normalize_and_prove(capsys):
     assert code == 1 and out.startswith("not proved\n")
 
 
+def _chains(count):
+    """count parallel 3-prefix chains, all names distinct."""
+    names = iter("abcdefghijklmno")
+    return " |[]| ".join(".".join(f"<{next(names)},1>" for _ in range(3)) + ".0"
+                         for _ in range(count))
+
+
+@pytest.mark.parametrize("count", [4, 5])
+def test_normalize_refuses_a_normal_form_past_the_output_budget(capsys, count):
+    # their normal forms share subterms, but print as trees of 1,846,895
+    # and 829,247,194 nodes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "normalize", _chains(count))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "OUTPUT_BUDGET" in err
+
+
+def test_prove_counts_both_normal_forms_against_the_output_budget(capsys, monkeypatch):
+    # two normal forms <a,3>.0 of two nodes each
+    argv = ("prove", "-p1", "<a,1>.0 + <a,2>.0", "-p2", "<a,3>.0")
+    monkeypatch.setattr(cli, "OUTPUT_BUDGET", 4)
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "OUTPUT_BUDGET", 3)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "OUTPUT_BUDGET" in err
+
+
 def test_gen_tests_lists_canonical_tests(capsys):
     code, out, _ = run(capsys, "gen-tests", "-E", "a,b", "--depth", "1")
     assert code == 0
@@ -120,6 +149,29 @@ def test_gen_tests_lists_canonical_tests(capsys):
     assert len(lines) == 5
     assert "s" in lines
     assert "<a,*1>.s + <b,*1>.<z,*1>.s" in lines
+
+
+@pytest.mark.parametrize("names, depth", [("a,b", 3), ("a,b,c", 2), ("a,a", 4), ("", 5)])
+def test_gen_tests_refuses_past_the_output_budget(capsys, monkeypatch, names, depth):
+    # the count is known before any test is built; the budget holds it exactly
+    count = len(list(canonical_tests([n for n in names.split(",") if n], depth)))
+    monkeypatch.setattr(cli, "OUTPUT_BUDGET", count)
+    code, out, _ = run(capsys, "gen-tests", "-E", names, "--depth", str(depth))
+    assert code == 0 and len(out.splitlines()) == count
+    monkeypatch.setattr(cli, "OUTPUT_BUDGET", count - 1)
+    code, out, err = run(capsys, "gen-tests", "-E", names, "--depth", str(depth))
+    assert code == 2 and out == "" and "OUTPUT_BUDGET" in err
+
+
+def test_gen_tests_past_the_output_budget_build_no_test(capsys, monkeypatch):
+    # 1,082,401 tests; at depth 30 two names give about 1.5e18
+    built = []
+    step = testing._canonical_step
+    monkeypatch.setattr(testing, "_canonical_step", lambda *args: built.append(args) or step(*args))
+    for names, depth in (("a,b,c,d", "4"), ("a,b", "30")):
+        code, out, err = run(capsys, "gen-tests", "-E", names, "--depth", depth)
+        assert code == 2 and out == "" and "OUTPUT_BUDGET" in err
+    assert built == []
 
 
 def test_gen_tests_negative_depth_exits_two(capsys):

@@ -136,6 +136,8 @@ def test_canonical_test_counts():
     assert [len(list(canonical_tests(["a"], d))) for d in range(5)] == [1, 2, 3, 4, 5]
     assert [len(list(canonical_tests(["a", "b"], d))) for d in range(5)] == [1, 5, 21, 85, 341]
     assert [str(x.term) for x in canonical_tests(["a"], 1)] == ["s", "<a,*1>.s"]
+    # with no names s is the only test, and no empty level is walked
+    assert [str(x) for x in canonical_tests([], 10**12)] == ["s"]
 
 
 def test_canonical_tests_shapes():
