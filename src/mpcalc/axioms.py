@@ -24,36 +24,31 @@ normalize implements the proof strategy: expand away static operators,
 then, bottom up, flatten each sum with A1-A3, merge each group of its
 summands that meets A4's side condition once, and sort it under a fixed
 total order.  One pass per sum is enough, because a merged group is one
-prefix with the group's A4 key, which no other summand has.
-expand_static, normalize, normalize_with_trace and axiom_prove run one
-recursive engine on one path.  Every run records, where the strategy
-rewrites, the single law application each change amounts to, so the
-record replays through apply_law to the normal form.  normalize and
-expand_static drop the record; normalize_with_trace and axiom_prove
-replay it as their trace.
+prefix with the group's A4 key, which no other summand has.  No LMTS is
+built: A5-A15 share derive_transitions' rules, so the expansion of a
+nonrecursive term unfolds its LMTS, and the term is performance closed
+unless a passive prefix is met there.
 
-A parallel composition repeats the same continuations at many positions
-of its expanded tree, which can be exponentially larger than its LMTS.
-So each call works on distinct subterms: it eliminates each distinct
-redex and canonicalizes each distinct expanded term once (axiom_prove's
-two sides share this memo), and records a shared subterm's steps once,
-relative to its root, to be replayed at each position.  The trace itself
-is as long as the tree, so its length is read off the record before it
-is replayed; past TRACE_STEP_BUDGET steps it is refused with a
-CalcError.  Untraced normal forms share their subterms and have no
-budget.
+expand_static, normalize, normalize_with_trace and axiom_prove run one
+engine, _Engine, which records the law applications its rewriting
+amounts to; the traced calls replay the record through apply_law.  The
+expanded tree of a parallel composition can be exponentially larger than
+its LMTS, so the engine works on distinct subterms, and a trace, as long
+as the tree, is refused past TRACE_STEP_BUDGET steps before it is
+replayed.  Untraced normal forms share their subterms and have no budget.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses as d
 from collections import Counter
 from fractions import Fraction
 
 from . import terms as t
 from .decider import embed, prob_language_equiv
-from .errors import CalcError, LawError, NotPerformanceClosed, NotWellFormed
-from .semantics import LMTS, Entry, build_lts, compose_parallel
+from .errors import CalcError, LawError, NotPerformanceClosed, NotWellFormed, StateBoundExceeded
+from .semantics import Entry, build_lts, compose_parallel
 
 LAW_IDS = tuple(f"A{i}" for i in range(1, 16))
 
@@ -118,17 +113,6 @@ def _a4_key(p: t.Prefix) -> tuple:
     """A4's side condition as a key: exponentially timed prefixes merge
     when they agree on the name and on the body's cumulative rates."""
     return p.name, tuple(sorted(_cumulative(p.body, "A4").items()))
-
-
-def _a4(term: t.ProcessTerm) -> t.ProcessTerm:
-    branches = _prefix_sum(term, "A4")
-    if len(branches) < 2:
-        raise LawError("A4 requires at least two branches")
-    if any(b.rate.passive for b in branches):
-        raise LawError("A4 is stated for exponentially timed rates")
-    if len({_a4_key(b) for b in branches}) > 1:
-        raise LawError("A4 branches must share one action name and cumulative rates")
-    return a4_merge(branches)
 
 
 def a4_merge(branches: list[t.Prefix]) -> t.Prefix:
@@ -227,9 +211,14 @@ def _rewrite(law: str, direction: str, x: t.ProcessTerm) -> t.ProcessTerm:
     if direction != "lr":
         raise LawError(f"{law} is applied left-to-right only")
     if law == "A4":
-        return _a4(x)
-    if law not in _REDEXES:
-        raise LawError(f"unknown law {law!r}")
+        branches = _prefix_sum(x, "A4")
+        if len(branches) < 2:
+            raise LawError("A4 requires at least two branches")
+        if any(b.rate.passive for b in branches):
+            raise LawError("A4 is stated for exponentially timed rates")
+        if len({_a4_key(b) for b in branches}) > 1:
+            raise LawError("A4 branches must share one action name and cumulative rates")
+        return a4_merge(branches)
     if _static_law(x) != law:
         raise LawError(f"{law} needs {_REDEXES[law]}")
     return t.nest_right(_static_summands(law, x))
@@ -275,9 +264,19 @@ def _replay(steps: list, prefix: Path, out: list[RewriteStep]) -> None:
         if isinstance(item[0], str):
             law, pos, direction, binding = item
             out.append(RewriteStep(law, prefix + pos, direction, binding))
-        else:
+        elif isinstance(item[1], list):
             at, shared, _ = item
             _replay(shared, prefix + at, out)
+        else:  # a sort, as the swaps of adjacent summands an insertion sort makes
+            at, passes, _ = item
+            for i, count in enumerate(passes):
+                for j in range(i, i - count, -1):
+                    spine = prefix + at + (1,) * (j - 1)
+                    if j == len(passes) - 1:
+                        out.append(RewriteStep("A1", spine))
+                    else:
+                        out += [RewriteStep("A2", spine, "rl"), RewriteStep("A1", spine + (0,)),
+                                RewriteStep("A2", spine)]
 
 
 def _trace(steps: list) -> list[RewriteStep]:
@@ -293,24 +292,29 @@ def _trace(steps: list) -> list[RewriteStep]:
 
 class _Engine:
     """One run of the rewriting engine, for one normalize, expand_static
-    or axiom_prove call.
+    or axiom_prove call (whose two sides share its memos).
 
     Each method rewrites the subterm at position pos of the whole term and
     records each step in steps as a (law, position, direction, binding)
-    tuple.  Each distinct redex is eliminated, and each distinct expanded
-    term canonicalized, once per run: the result is memoized on the term
-    with the steps it took, recorded relative to the subterm's root, and
+    tuple, and each sort as one (position, passes, size) entry.  Each
+    distinct redex is eliminated, and each distinct expanded term
+    canonicalized, once per run: the result is memoized on the term with
+    the steps it took, recorded relative to the subterm's root, and
     (position, steps, size) stands for them at every position where the
     subterm occurs.  The engine is deterministic in the subterm, so this
     record is the trace a walk of the whole tree would take.  Untraced
     callers drop it; traced ones check its size against TRACE_STEP_BUDGET
-    and only then replay it, with the positions prepended.
+    and only then replay it, with the positions prepended.  normalize
+    allows state_bound compositions (A5-A8 redexes) new to the run, which
+    bound the expansion's exponential part; expand_static any number.
     """
 
     def __init__(self):
         self.steps: list = []
         self.eliminated: dict = {}
         self.canonical: dict = {}
+        self.nodes: dict = {}  # one object per eliminated result: keys compare shallowly
+        self.budget = float("inf")
 
     def _once(self, memo: dict, work, x: t.ProcessTerm, pos: Path):
         """work(x, pos), computed once per distinct x."""
@@ -353,6 +357,10 @@ class _Engine:
     def eliminate(self, x: t.ProcessTerm, pos: Path) -> t.ProcessTerm:
         """Eliminate the static operator at the root of x, whose operands
         are already expanded, one A5-A15 application at a time."""
+        if isinstance(x, t.Parallel) and x not in self.eliminated:
+            if not self.budget:
+                raise StateBoundExceeded("more distinct compositions to expand than the state bound")
+            self.budget -= 1
         return self._once(self.eliminated, self._eliminate, x, pos)
 
     def _eliminate(self, x: t.ProcessTerm, pos: Path) -> t.ProcessTerm:
@@ -364,11 +372,12 @@ class _Engine:
         # continuations are (A5-A7, A10, A11, A14), over expanded operands;
         # they are eliminated directly, without walking the operands again
         n = len(parts)
-        return t.nest_right([
+        result = t.nest_right([
             self.eliminate(p, _summand_at(pos, i, n)) if law in ("A12", "A15")
             else t.Prefix(p.name, p.rate, self.eliminate(p.body, _summand_at(pos, i, n) + (0,)))
             for i, p in enumerate(parts)
         ])
+        return self.nodes.setdefault(result, result)
 
     def flatten(self, term: t.ProcessTerm, pos: Path) -> list[t.ProcessTerm]:
         """Summands of the sum at pos, which A2 rotations nest to the right."""
@@ -385,23 +394,17 @@ class _Engine:
 
     def sort_summands(self, items: list, key, pos: Path) -> list:
         """Stable sort by key of the summands of the right-nested sum at
-        pos, one item each, as swaps of adjacent summands (A1, with A2
-        around it inside the spine)."""
-        items, keys, n = list(items), [key(item) for item in items], len(items)
-        for i in range(1, n):
-            for j in range(i, 0, -1):
-                if not keys[j - 1] > keys[j]:
-                    break
-                at = pos + (1,) * (j - 1)
-                if j == n - 1:
-                    self.record("A1", at)
-                else:
-                    self.record("A2", at, "rl")
-                    self.record("A1", at + (0,))
-                    self.record("A2", at)
-                items[j - 1], items[j] = items[j], items[j - 1]
-                keys[j - 1], keys[j] = keys[j], keys[j - 1]
-        return items
+        pos, one item each, recorded as one (pos, passes, size) entry: how
+        many earlier summands each summand passes, and the length of the
+        adjacent swaps _replay makes of it, three steps each but one A1 for
+        the swap into the last slot, the last summand's first."""
+        keys, seen, passes = [key(item) for item in items], [], []
+        for k in keys:
+            passes.append(len(seen) - bisect.bisect(seen, k))
+            bisect.insort(seen, k)
+        if any(passes):
+            self.steps.append((pos, tuple(passes), 3 * sum(passes) - (2 if passes[-1] else 0)))
+        return [items[i] for i in sorted(range(len(items)), key=keys.__getitem__)]
 
     def canon(self, term: t.ProcessTerm, pos: Path) -> tuple:
         """The canonical form of an expanded term, which holds no nil
@@ -411,18 +414,15 @@ class _Engine:
 
     def _canon(self, term: t.ProcessTerm, pos: Path) -> tuple:
         # Bottom up, each sum is flattened, each of its A4 groups is merged
-        # once, in the order of their first members, and it is sorted.  One
-        # pass is enough: a merged group is one prefix with the group's A4
-        # key, which no other summand has.
+        # once, in the order of their first members, and it is sorted.
         if isinstance(term, t.Prefix):
+            if term.rate.passive:
+                raise NotPerformanceClosed("normalization is defined for performance-closed terms")
+            # the canonical body is nil or a sum of timed prefixes, as _a4_key needs
             body, body_key, _ = self.canon(term.body, pos + (0,))
             name, rate = term.name, term.rate
             node = t.Prefix(name, rate, body)
-            # performance closure is checked before expansion, so every
-            # prefix body is nil or a sum of exponentially timed prefixes,
-            # which _a4_key accepts
-            return node, (1, 0 if name == t.TAU else 1, name, 1 if rate.passive else 0,
-                          rate.value, body_key), None if rate.passive else _a4_key(node)
+            return node, (1, 0 if name == t.TAU else 1, name, rate.value, body_key), _a4_key(node)
         if not isinstance(term, t.Choice):
             return term, (0,), None
         parts = self.flatten(term, pos)
@@ -444,15 +444,12 @@ class _Engine:
             return items[0]
         return t.nest_right([p for p, _, _ in items]), (2, tuple(key for _, key, _ in items)), None
 
-    def normalize(self, term: t.ProcessTerm, state_bound: int) -> tuple[t.ProcessTerm, LMTS, list]:
-        """The normal form of term, the LMTS its performance closure was
-        checked on, and the steps the run recorded."""
-        lts = build_lts(term, state_bound)
-        if not lts.performance_closed:
-            raise NotPerformanceClosed("normalization is defined for performance-closed terms")
+    def normalize(self, term: t.ProcessTerm, state_bound: int) -> tuple[t.ProcessTerm, list]:
+        """The normal form of term and the steps the run recorded."""
+        t.require_analyzable(term)
         _require_nonrecursive(term)
-        self.steps = []
-        return self.canon(self.expand(term, ()), ())[0], lts, self.steps
+        self.steps, self.budget = [], state_bound
+        return self.canon(self.expand(term, ()), ())[0], self.steps
 
 
 def expand_static(term: t.ProcessTerm) -> t.ProcessTerm:
@@ -466,7 +463,8 @@ def normalize(term: t.ProcessTerm, state_bound: int = 10000) -> t.ProcessTerm:
 
     Defined for nonrecursive performance-closed terms; such terms expand
     to exponentially timed prefix trees, which A4 can always merge when
-    its cumulative-rate condition holds.
+    its cumulative-rate condition holds.  More than state_bound distinct
+    parallel compositions to expand raise StateBoundExceeded.
     """
     return _Engine().normalize(term, state_bound)[0]
 
@@ -476,7 +474,7 @@ def normalize_with_trace(
 ) -> tuple[t.ProcessTerm, list[RewriteStep]]:
     """normalize, with the replayable rewrite sequence it took.  A trace
     longer than TRACE_STEP_BUDGET steps raises CalcError."""
-    normal, _, steps = _Engine().normalize(term, state_bound)
+    normal, steps = _Engine().normalize(term, state_bound)
     return normal, _trace(steps)
 
 
@@ -500,14 +498,15 @@ def axiom_prove(
     *,
     state_bound: int = 10000,
 ) -> ProveReport:
-    """Prove p1 = p2 by comparing normal forms; on failure decide the pair
-    on the two LMTSs normalization built, so completeness gaps of the
-    strategy are visible rather than silent."""
+    """Prove p1 = p2 by comparing normal forms; on failure build the two
+    LMTSs and decide the pair, so completeness gaps of the strategy are
+    visible rather than silent."""
     engine = _Engine()  # law twins share most subterms
-    n1, lts1, steps = engine.normalize(p1, state_bound)
+    n1, steps = engine.normalize(p1, state_bound)
     trace1 = _trace(steps)
-    n2, lts2, steps = engine.normalize(p2, state_bound)
+    n2, steps = engine.normalize(p2, state_bound)
     trace2 = _trace(steps)
     proved = n1 == n2
-    decided = proved or prob_language_equiv(embed(lts1), embed(lts2)).equivalent
+    decided = proved or prob_language_equiv(embed(build_lts(p1, state_bound)),
+                                            embed(build_lts(p2, state_bound))).equivalent
     return ProveReport(proved, n1, n2, tuple(trace1), tuple(trace2), decided)

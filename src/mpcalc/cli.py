@@ -317,7 +317,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--state-bound", type=_at_least(1), default=10000,
                         help="largest explorable state space; for eval-test, "
                         "of the process alone, not of its interaction with "
-                        "the test (default 10000)")
+                        "the test; for normalize and prove, the most distinct "
+                        "parallel compositions the expansion of each term may "
+                        "eliminate (default 10000)")
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default text)")
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import time
 from collections import Counter
 from fractions import Fraction
 from random import Random
@@ -16,7 +17,8 @@ from mpcalc.corpus import (a4_instance, a4_violation, law_instance,
                            random_pair, random_term, sound_steps)
 from mpcalc.decider import decide_equiv
 from mpcalc.cli import main
-from mpcalc.errors import CalcError, LawError, NotPerformanceClosed, NotWellFormed
+from mpcalc.errors import (CalcError, LawError, NotPerformanceClosed, NotWellFormed,
+                           StateBoundExceeded)
 from mpcalc.parser import parse_term
 from mpcalc.semantics import build_lts, derive_transitions
 
@@ -133,6 +135,44 @@ def test_normalize_preconditions():
         normalize(parse_term("rec X : <a,1>.X"))
     with pytest.raises(NotPerformanceClosed):
         normalize(parse_term("<a,*1>.0"))
+    # recursion is refused before closure or size is looked at, so a
+    # passive loop and a diverging one are not well formed either
+    for source in ("rec X : <a,*1>.X", "rec X : <a,1>.(X |[]| X)"):
+        with pytest.raises(NotWellFormed, match="nonrecursive"):
+            normalize(parse_term(source))
+        assert main(["normalize", source]) == 2
+
+
+def _flip_passive(term, rng):
+    """term with about a third of its prefixes made passive, same weights."""
+    kids = [_flip_passive(kid, rng) for kid in t.children(term)]
+    if isinstance(term, t.Prefix) and rng.random() < 0.3:
+        return t.Prefix(term.name, t.Rate(term.rate.value, passive=True), kids[0])
+    return t.with_children(term, kids) if kids else term
+
+
+def _nonrecursive_with_passive(seed):
+    rng = Random(seed)
+    while True:
+        term = random_term(rng, depth=3, max_states=12)
+        if not any(isinstance(sub, t.Rec) for sub in t.subterms(term)):
+            return _flip_passive(term, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9).map(_nonrecursive_with_passive))
+@example(parse_term("<a,1>.0 |[a]| <a,*1>.0"))  # synchronized away
+@example(parse_term("<a,*1>.0 |[a]| <b,1>.0"))  # deadlocked
+@example(parse_term("(<a,*1>.0 + <b,1>.0) / {a}"))  # hidden, still passive
+@example(parse_term("<b,1>.(<a,*1>.0 |[]| <c,1>.0)"))  # below a prefix
+def test_normalize_refuses_exactly_the_terms_that_are_not_performance_closed(term):
+    try:
+        normalize(term)
+    except NotPerformanceClosed:
+        refused = True
+    else:
+        refused = False
+    assert refused == (not build_lts(term).performance_closed)
 
 
 def test_prove_spec_pairs():
@@ -149,7 +189,8 @@ def test_prove_spec_pairs():
 
 
 def test_prove_builds_each_side_once(monkeypatch):
-    # an unproved pair is decided on the LMTSs normalization built
+    # normalization builds no LMTS, and only an unproved pair is decided
+    # on one LMTS per side
     built = []
 
     def counting_build_lts(term, state_bound=10000, **kwargs):
@@ -158,6 +199,13 @@ def test_prove_builds_each_side_once(monkeypatch):
 
     for module in (axioms, decider):
         monkeypatch.setattr(module, "build_lts", counting_build_lts)
+    composed = parse_term("(<a,1>.0 + <b,2>.0) |[a]| <a,*1>.0")
+    normalize(composed)
+    normalize_with_trace(composed)
+    with pytest.raises(NotPerformanceClosed):
+        normalize(parse_term("<a,*1>.0"))
+    assert axiom_prove(parse_term("<a,1>.0 + <a,2>.0"), parse_term("<a,3>.0")).proved
+    assert built == []
     left, right = parse_term("<tau,2>.0"), parse_term("<tau,1>.0")
     report = axiom_prove(left, right)
     assert built == [left, right]
@@ -282,6 +330,28 @@ def test_each_distinct_redex_is_eliminated_once(monkeypatch):
     assert set(redexes.values()) == {1}
 
 
+def test_state_bound_counts_distinct_compositions(monkeypatch):
+    redexes = _counting_static_summands(monkeypatch)
+    term = parse_term(f"({_chains(3, 2)}) / {{a}}")
+    normal = normalize(term)
+    compositions = sum(isinstance(x, t.Parallel) for x in redexes)
+    assert compositions < len(redexes)
+    assert normalize(term, state_bound=compositions) == normal
+    with pytest.raises(StateBoundExceeded):
+        normalize(term, state_bound=compositions - 1)
+    # each side of a proof has the bound to itself
+    assert axiom_prove(term, term, state_bound=compositions).proved
+
+
+def test_seven_chains_exceed_the_default_state_bound_quickly():
+    # six 3-prefix chains normalize (4,096 states); seven (16,384 states)
+    # have more distinct redexes than the default bound of 10,000
+    start = time.perf_counter()
+    with pytest.raises(StateBoundExceeded):
+        normalize(parse_term(_chains(7, 3)))
+    assert time.perf_counter() - start < 10
+
+
 def test_a_shared_subterm_is_rewritten_once_and_replayed_at_each_position(monkeypatch):
     redexes = _counting_static_summands(monkeypatch)
     shared = "(<c,1>.0 |[]| <d,2>.<c,1>.0)"
@@ -328,6 +398,41 @@ def test_normal_forms_and_traces_are_pinned():
     assert _digest(_traced(term) for term in parallel) == "84b111deba47"
     assert _digest(_traced(term) for term in sides) == "3cb6661d75f6"
     assert _digest(_proved(pair.left, pair.right) for pair in pairs) == "cdcc21cdb36a"
+
+
+def _reverse_sum(n):
+    return t.nest_right([t.Prefix(f"n{i:03d}", t.Rate(Fraction(1)), t.NIL)
+                         for i in reversed(range(n))])
+
+
+def _shuffled_sum(rng, n):
+    # same-named prefixes with nil bodies merge, so A4's partition sorts
+    # run too
+    return t.nest_right([t.Prefix(rng.choice("abcdefgh"), t.Rate(Fraction(rng.randint(1, 5))),
+                                  t.NIL) for _ in range(n)])
+
+
+def _entries(steps):
+    """Number of recorded entries, a shared subterm's counted inside it."""
+    return sum(_entries(item[1]) if isinstance(item[1], list) else 1 for item in steps)
+
+
+def test_a_sort_is_recorded_as_one_permutation():
+    normal, steps = axioms._Engine().normalize(_reverse_sum(200), 10000)
+    assert [p.name for p in t.summand_list(normal)] == [f"n{i:03d}" for i in range(200)]
+    assert _entries(steps) == 1
+    # 19,900 adjacent swaps, each three steps but the one into the last slot
+    assert axioms._size(steps) == 3 * 19_900 - 2
+
+
+def test_a_recorded_sort_counts_the_steps_its_replay_makes():
+    rng = Random(41)
+    for n in range(2, 31):
+        for term in (_reverse_sum(n), _shuffled_sum(rng, n)):
+            _, steps = axioms._Engine().normalize(term, 10000)
+            normal, trace = normalize_with_trace(term)
+            assert axioms._size(steps) == len(trace)
+            assert _replay(term, trace) == normal
 
 
 def test_a_trace_past_the_step_budget_is_refused(capsys):

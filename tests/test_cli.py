@@ -132,6 +132,13 @@ def test_normalize_refuses_a_normal_form_past_the_output_budget(capsys, count):
     assert code == 2 and out == "" and "OUTPUT_BUDGET" in err
 
 
+def test_normalize_state_bound_counts_distinct_compositions(capsys):
+    # the composition and its continuations are distinct compositions
+    code, out, err = run(capsys, "normalize", "<a,1>.<b,1>.0 |[]| <c,1>.0",
+                         "--state-bound", "1")
+    assert code == 2 and out == "" and "compositions" in err
+
+
 def test_prove_counts_both_normal_forms_against_the_output_budget(capsys, monkeypatch):
     # two normal forms <a,3>.0 of two nodes each
     argv = ("prove", "-p1", "<a,1>.0 + <a,2>.0", "-p2", "<a,3>.0")
