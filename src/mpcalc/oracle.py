@@ -15,34 +15,26 @@ prob_pass also runs on, instead of composing interaction terms.  The
 slower term-level route in the testing module is kept as the reference
 and the two are cross-checked in the test suite.
 
-search_witness is the one test loop.  The oracles run it on the LMTSs
-they build from the terms; the decider runs it on the LMTSs it decided
-on, to turn an inequivalence into a distinguishing (test, theta) pair.
-
-Most tests of a search cannot be passed: their success path asks for
-names in an order that the process never offers.  Such a test has no
-successful computation on either side, so its measures are empty at
-every length and cannot differ; the loop counts it in tests_checked and
-skips it without measuring.  Whether a product state (process state,
-test node) can still reach a successful test node is memoized per side
-over the whole search.  The process's tau moves, which leave the test
-node where it is, are folded into a per-state closure, so the recursion
-only goes down the test and ends.  Canonical tests share the nodes of
-their continuations, so the memo answers for them across tests; each
-test's root is asked once and not stored, so nothing keeps a test after
-it is consumed.
+_search is the one test loop.  search_witness runs it with the minimal
+differing vector as its comparison, old_style_oracle with a sweep over a
+breakpoint grid.  The oracles run it on the LMTSs they build from the
+terms; the decider runs search_witness on the LMTSs it decided on, to
+turn an inequivalence into a distinguishing (test, theta) pair.  The
+loop skips, without measuring, every test whose success neither
+process can reach (InteractionProduct.can_succeed): its measures are
+empty at every length on both sides and cannot differ.
 """
 
 from __future__ import annotations
 
 import dataclasses as d
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import product as cartesian
 
 from . import terms as t
 from .computations import breakpoint_grid
-from .errors import CalcError, NotPerformanceClosed
+from .errors import CalcError
 from .semantics import LMTS, build_lts
 from .testing import InteractionProduct, Test, TestState, canonical_tests, flavored_tests
 
@@ -56,26 +48,30 @@ def successful_measures(lts: LMTS, test: Test, max_len: int) -> list[Measure]:
     if max_len < 0:
         raise CalcError(f"computation length must be at least 0, got {max_len}")
     product = InteractionProduct(lts)
-    cache: dict[tuple[int, TestState, bool, int], Measure] = {}
+    # (state, node, seen, budget): its measure; (state, node): whether it
+    # can succeed, kept here since the product stores no answer for the
+    # pair it is asked about
+    cache: dict[tuple, Measure | bool] = {}
     return [_measure(product, cache, 0, test.root, False, length) for length in range(max_len + 1)]
 
 
 def _measure(product: InteractionProduct, cache: dict, state: int, node: TestState,
              seen: bool, budget: int) -> Measure:
     seen = seen or node.successful
-    if not seen and not node.live:
-        return {}
     if budget == 0:
         return {(): Fraction(1)} if seen else {}
     key = (state, node, seen, budget)
     if key in cache:
         return cache[key]
     out: Measure = {}
-    sojourn, branches = product.step(state, node)
-    for share, state2, node2 in branches:
-        for vector, mass in _measure(product, cache, state2, node2, seen, budget - 1).items():
-            key2 = (sojourn,) + vector
-            out[key2] = out.get(key2, Fraction(0)) + share * mass
+    if not seen and (state, node) not in cache:
+        cache[state, node] = product.can_succeed(state, node)
+    if seen or cache[state, node]:
+        sojourn, branches = product.step(state, node)
+        for share, state2, node2 in branches:
+            for vector, mass in _measure(product, cache, state2, node2, seen, budget - 1).items():
+                key2 = (sojourn,) + vector
+                out[key2] = out.get(key2, Fraction(0)) + share * mass
     cache[key] = out
     return out
 
@@ -90,22 +86,6 @@ def passing_probability(measures: list[Measure], theta: Vector) -> Fraction:
         if all(vector[i] <= theta[i] for i in range(len(theta))):
             total += mass
     return total
-
-
-def _minimal_difference(m1: Measure, m2: Measure) -> Vector | None:
-    support = [
-        v
-        for v in set(m1) | set(m2)
-        if m1.get(v, Fraction(0)) != m2.get(v, Fraction(0))
-    ]
-    if not support:
-        return None
-    minimal = [
-        v
-        for v in support
-        if not any(u != v and all(u[i] <= v[i] for i in range(len(v))) for u in support)
-    ]
-    return min(minimal)
 
 
 @d.dataclass(frozen=True)
@@ -127,68 +107,45 @@ def environment_tests(lts1: LMTS, lts2: LMTS, depth: int) -> Iterator[Test]:
     return canonical_tests(sorted(lts1.visible_names() | lts2.visible_names()), depth)
 
 
-class _Side:
-    """One process of a witness search, with a memo, kept over the whole
-    search, of whether a product state (process state, test node) can
-    reach a successful test node.  Tau moves of the process are folded
-    into a per-state closure, so every step of the recursion goes down
-    the test.  Canonical tests share their continuations' nodes, so the
-    memo answers for them across tests; a test's root is not memoized."""
-
-    def __init__(self, lts: LMTS):
-        if not lts.performance_closed:
-            raise NotPerformanceClosed("the process under test is not performance-closed")
-        self.lts = lts
-        self._moves = lts.moves
-        self._closures: dict[int, tuple[int, ...]] = {}
-        self._memo: dict[tuple[int, TestState], bool] = {}
-
-    def can_pass(self, test: Test) -> bool:
-        return self._passable(0, test.root)
-
-    def _reaches(self, state: int, node: TestState) -> bool:
-        key = (state, node)
-        known = self._memo.get(key)
-        if known is None:
-            known = self._memo[key] = self._passable(state, node)
-        return known
-
-    def _passable(self, state: int, node: TestState) -> bool:
-        if node.successful or not node.live:
-            return node.successful
-        for source in self._closure(state):
-            for name, _, target in self._moves[source]:
-                if name != t.TAU:
-                    for sname, srate, body in node.summands:
-                        if sname == name and srate.passive and self._reaches(target, body):
-                            return True
-            for sname, srate, body in node.summands:
-                if sname == t.TAU and not srate.passive and self._reaches(source, body):
-                    return True
-        return False
-
-    def _closure(self, state: int) -> tuple[int, ...]:
-        """state and every state its tau moves reach."""
-        closure = self._closures.get(state)
-        if closure is None:
-            seen = {state}
-            stack = [state]
-            while stack:
-                for name, _, target in self._moves[stack.pop()]:
-                    if name == t.TAU and target not in seen:
-                        seen.add(target)
-                        stack.append(target)
-            closure = self._closures[state] = tuple(seen)
-        return closure
+def _search(lts1: LMTS, lts2: LMTS, tests: Iterable[Test], max_len: int,
+            differ: Callable[[list[Measure], list[Measure]], tuple | None]) -> OracleVerdict:
+    """The one test loop: run the tests in order against both processes
+    and return the first one that differ separates.  differ gets both
+    sides' successful_measures up to max_len and returns (theta, left
+    probability, right probability) or None."""
+    if max_len < 0:
+        raise CalcError(f"computation length must be at least 0, got {max_len}")
+    products = (InteractionProduct(lts1), InteractionProduct(lts2))
+    checked = 0
+    for checked, test in enumerate(tests, 1):
+        if not any(product.can_succeed(0, test.root) for product in products):
+            continue
+        found = differ(successful_measures(lts1, test, max_len),
+                       successful_measures(lts2, test, max_len))
+        if found is not None:
+            theta, left, right = found
+            return OracleVerdict(False, test, theta, left, right, checked)
+    return OracleVerdict(equivalent=True, tests_checked=checked)
 
 
-def _measures(sides: tuple[_Side, _Side], test: Test,
-              max_len: int) -> tuple[list[Measure], ...] | None:
-    """successful_measures of the test on both sides, or None when neither
-    side can reach success with it: then both are empty at every length."""
-    if not any(side.can_pass(test) for side in sides):
-        return None
-    return tuple(successful_measures(side.lts, test, max_len) for side in sides)
+def _first_difference(m1: list[Measure], m2: list[Measure]) -> tuple | None:
+    """A minimal differing vector of the shortest length at which the
+    measures differ, with both passing probabilities there."""
+    for length1, length2 in zip(m1, m2):
+        support = [
+            v
+            for v in set(length1) | set(length2)
+            if length1.get(v, Fraction(0)) != length2.get(v, Fraction(0))
+        ]
+        minimal = [
+            v
+            for v in support
+            if not any(u != v and all(u[i] <= v[i] for i in range(len(v))) for u in support)
+        ]
+        if minimal:
+            theta = min(minimal)
+            return theta, passing_probability(m1, theta), passing_probability(m2, theta)
+    return None
 
 
 def search_witness(lts1: LMTS, lts2: LMTS, tests: Iterable[Test], max_len: int) -> OracleVerdict:
@@ -197,27 +154,7 @@ def search_witness(lts1: LMTS, lts2: LMTS, tests: Iterable[Test], max_len: int) 
     max_len, with a minimal differing vector of the shortest such length
     as theta.  tests_checked counts the tests taken from the iterable,
     the ones that neither process can pass included."""
-    if max_len < 0:
-        raise CalcError(f"computation length must be at least 0, got {max_len}")
-    sides = (_Side(lts1), _Side(lts2))
-    checked = 0
-    for checked, test in enumerate(tests, 1):
-        measures = _measures(sides, test, max_len)
-        if measures is None:
-            continue
-        m1, m2 = measures
-        for length in range(max_len + 1):
-            theta = _minimal_difference(m1[length], m2[length])
-            if theta is not None:
-                return OracleVerdict(
-                    equivalent=False,
-                    witness_test=test,
-                    witness_theta=theta,
-                    prob_left=passing_probability(m1, theta),
-                    prob_right=passing_probability(m2, theta),
-                    tests_checked=checked,
-                )
-    return OracleVerdict(equivalent=True, tests_checked=checked)
+    return _search(lts1, lts2, tests, max_len, _first_difference)
 
 
 def _setup(
@@ -258,40 +195,35 @@ def old_style_oracle(
     (observed sojourn values, midpoints, one value above the maximum) as an
     independent check of the grouped-measure path."""
     lts1, lts2, tests = _setup(p1, p2, depth, state_bound)
+    return _search(lts1, lts2, tests, depth, _cumulative_witness)
 
-    def cumulative(measures: list[Measure], theta: Vector) -> Fraction:
-        total = Fraction(0)
-        for length in range(min(len(theta), len(measures) - 1) + 1):
-            for vector, mass in measures[length].items():
-                if all(vector[i] <= theta[i] for i in range(length)):
-                    total += mass
-        return total
 
-    sides = (_Side(lts1), _Side(lts2))
-    checked = 0
-    for checked, test in enumerate(tests, 1):
-        measures = _measures(sides, test, depth)
-        if measures is None:
-            continue
-        m1, m2 = measures
-        position_values: list[list[Fraction]] = [[] for _ in range(depth)]
-        for side in (m1, m2):
-            for length_measure in side:
-                for vector in length_measure:
-                    for i_pos, value in enumerate(vector):
-                        position_values[i_pos].append(value)
-        grids = [breakpoint_grid(vals, 12) for vals in position_values]
-        for length in range(depth + 1):
-            for theta in cartesian(*grids[:length]):
-                left = cumulative(m1, theta)
-                right = cumulative(m2, theta)
-                if left != right:
-                    return OracleVerdict(
-                        equivalent=False,
-                        witness_test=test,
-                        witness_theta=theta,
-                        prob_left=left,
-                        prob_right=right,
-                        tests_checked=checked,
-                    )
-    return OracleVerdict(equivalent=True, tests_checked=checked)
+def _cumulative(measures: list[Measure], theta: Vector) -> Fraction:
+    """Mass of the successful computations of every length up to |theta|
+    whose vector is dominated by theta on its own length."""
+    total = Fraction(0)
+    for length in range(min(len(theta), len(measures) - 1) + 1):
+        for vector, mass in measures[length].items():
+            if all(vector[i] <= theta[i] for i in range(length)):
+                total += mass
+    return total
+
+
+def _cumulative_witness(m1: list[Measure], m2: list[Measure]) -> tuple | None:
+    """The first theta of the breakpoint grids, shortest first, at which
+    the cumulative probabilities differ, with both of them."""
+    depth = len(m1) - 1
+    position_values: list[list[Fraction]] = [[] for _ in range(depth)]
+    for side in (m1, m2):
+        for length_measure in side:
+            for vector in length_measure:
+                for i_pos, value in enumerate(vector):
+                    position_values[i_pos].append(value)
+    grids = [breakpoint_grid(vals, 12) for vals in position_values]
+    for length in range(depth + 1):
+        for theta in cartesian(*grids[:length]):
+            left = _cumulative(m1, theta)
+            right = _cumulative(m2, theta)
+            if left != right:
+                return theta, left, right
+    return None

@@ -188,9 +188,13 @@ def with_children(term: ProcessTerm, kids: Sequence[ProcessTerm]) -> ProcessTerm
 
 
 def subterms(term: ProcessTerm) -> Iterator[ProcessTerm]:
-    yield term
-    for child in children(term):
-        yield from subterms(child)
+    """term and all its subterms in preorder, children left to right, on
+    an explicit stack: linear time at any depth."""
+    stack = [term]
+    while stack:
+        sub = stack.pop()
+        yield sub
+        stack.extend(reversed(children(sub)))
 
 
 def summand_list(term: ProcessTerm) -> list[ProcessTerm]:

@@ -22,8 +22,10 @@ consumed, and flavored_tests turns them into their liberal or tau
 variants.  Both index only the nodes a test adds to the tests made
 before it: a canonical test's root, a variant's edited path.  It also
 owns the interaction product: InteractionProduct steps a process LMTS
-and a test's states together, and both prob_pass (one forward pass,
-pruned by theta) and the oracle's successful_measures run on it.
+and a test's states together by its one move rule, and memoizes which
+product states can still reach success.  prob_pass (one forward pass,
+pruned by theta), the oracle's successful_measures and its witness
+search all run on it and prune on that memo.
 The term-level route (interaction, interaction_lts,
 successful_computations, then computations.prob_set) composes the
 interaction term and enumerates its computations one by one; it follows
@@ -190,6 +192,18 @@ class InteractionProduct:
     synchronizes with the test summands of the same name, its rate split
     by their passive weights; a timed tau summand of the test moves the
     test alone.  Every other visible action of either side is blocked.
+
+    can_succeed says whether a product state can still reach a successful
+    test node.  Most tests of a witness search cannot be passed: their
+    success path asks for names in an order that the process never
+    offers.  The search skips them, and prob_pass and successful_measures
+    drop the states that carry no successful mass.  The answers are
+    memoized for the life of the product.  The process's tau moves, which
+    leave the test node where it is, are folded into a per-state closure,
+    so the recursion only goes down the test and ends.  Canonical tests
+    share the nodes of their continuations, so the memo answers for them
+    across tests; the node asked about is not stored, so a search keeps
+    no test after it is consumed.
     """
 
     def __init__(self, lts: LMTS):
@@ -197,6 +211,8 @@ class InteractionProduct:
             raise NotPerformanceClosed("the process under test is not performance-closed")
         self._moves = lts.moves
         self._steps: dict[tuple[int, TestState], Step] = {}
+        self._closures: dict[int, tuple[int, ...]] = {}
+        self._reach: dict[tuple[int, TestState], bool] = {}
 
     def step(self, state: int, node: TestState) -> Step:
         """Mean sojourn time of the product state, None when it has no
@@ -206,27 +222,65 @@ class InteractionProduct:
             self._steps[key] = self._step(state, node)
         return self._steps[key]
 
-    def _step(self, state: int, node: TestState) -> Step:
-        summands = node.summands
-        weights: dict[str, Fraction] = {}
-        for name, rate, _ in summands:
-            if rate.passive:
-                weights[name] = weights.get(name, Fraction(0)) + rate.value
-        moves: list[tuple[Fraction, int, TestState]] = []
+    def _rule(self, state: int, node: TestState) -> list[tuple]:
+        """The moves of the product state, process moves first, as (name,
+        rate, passive test weight or None, process state, test node)."""
+        moves = []
         for name, value, target in self._moves[state]:
             if name == t.TAU:
-                moves.append((value, target, node))
+                moves.append((name, value, None, target, node))
                 continue
-            for sname, srate, sbody in summands:
+            for sname, srate, sbody in node.summands:
                 if sname == name and srate.passive:
-                    moves.append((value * srate.value / weights[name], target, sbody))
-        for sname, srate, sbody in summands:
+                    moves.append((name, value, srate.value, target, sbody))
+        for sname, srate, sbody in node.summands:
             if sname == t.TAU and not srate.passive:
-                moves.append((srate.value, state, sbody))
+                moves.append((sname, srate.value, None, state, sbody))
+        return moves
+
+    def _step(self, state: int, node: TestState) -> Step:
+        weights: dict[str, Fraction] = {}
+        for name, rate, _ in node.summands:
+            if rate.passive:
+                weights[name] = weights.get(name, Fraction(0)) + rate.value
+        moves = [(value if weight is None else value * weight / weights[name], s, n)
+                 for name, value, weight, s, n in self._rule(state, node)]
         total = sum((value for value, _, _ in moves), Fraction(0))
         if total == 0:
             return None, ()
         return 1 / total, tuple((value / total, s, n) for value, s, n in moves)
+
+    def can_succeed(self, state: int, node: TestState) -> bool:
+        """Whether some computation from the product state reaches a
+        successful test node."""
+        if node.successful or not node.live:
+            return node.successful
+        for source in self._closure(state):
+            for _, _, _, target, body in self._rule(source, node):
+                if body is not node and self._reaches(target, body):
+                    return True
+        return False
+
+    def _reaches(self, state: int, node: TestState) -> bool:
+        key = (state, node)
+        known = self._reach.get(key)
+        if known is None:
+            known = self._reach[key] = self.can_succeed(state, node)
+        return known
+
+    def _closure(self, state: int) -> tuple[int, ...]:
+        """state and every state its tau moves reach."""
+        closure = self._closures.get(state)
+        if closure is None:
+            seen = {state}
+            stack = [state]
+            while stack:
+                for name, _, target in self._moves[stack.pop()]:
+                    if name == t.TAU and target not in seen:
+                        seen.add(target)
+                        stack.append(target)
+            closure = self._closures[state] = tuple(seen)
+        return closure
 
 
 def prob_pass(process: t.ProcessTerm, test: Test, theta: Theta, state_bound: int = 10000) -> Fraction:
@@ -254,7 +308,7 @@ def prob_pass(process: t.ProcessTerm, test: Test, theta: Theta, state_bound: int
     for bound in theta:
         reached: dict[tuple[int, TestState, bool], Fraction] = {}
         for (state, node, seen), mass in frontier.items():
-            if not seen and not node.live:
+            if not seen and not product.can_succeed(state, node):
                 continue
             sojourn, branches = product.step(state, node)
             if sojourn is None or sojourn > bound:

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import dataclasses as d
 from fractions import Fraction
+from random import Random
 
 import pytest
 
 from mpcalc import terms as t
+from mpcalc.corpus import random_term
 from mpcalc.errors import NotWellFormed
 
 
@@ -88,6 +90,24 @@ def test_children_and_subterms():
     assert len(kids) == 1 and isinstance(kids[0], t.Choice)
     assert t.NIL in list(t.subterms(term))
     assert t.SUCCESS in list(t.subterms(term))
+
+
+def _recursive_subterms(term):
+    yield term
+    for child in t.children(term):
+        yield from _recursive_subterms(child)
+
+
+def test_subterms_walk_in_preorder_at_any_depth():
+    # error messages report the first offending subterm, so the order is kept
+    rng = Random(5)
+    for _ in range(200):
+        term = random_term(rng, names=("a", "b", "c"), depth=4, max_states=20)
+        assert list(t.subterms(term)) == list(_recursive_subterms(term))
+    chain = t.NIL
+    for i in range(5000):
+        chain = t.Prefix("ab"[i % 2], t.Rate(1), chain)
+    assert t.visible_names(chain) == {"a", "b"}
 
 
 def test_term_hash_is_the_hash_of_the_class_name_and_fields():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from fractions import Fraction
 from random import Random
 
@@ -269,7 +270,37 @@ def test_prob_pass_matches_the_term_level_reference(seed):
     test = family[rng.randrange(len(family))]
     theta = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 3))
                   for _ in range(rng.randint(0, 4)))
-    assert prob_pass(process, test, theta) == _term_level_prob_pass(process, test, theta)
+    expected = _term_level_prob_pass(process, test, theta)
+    assert prob_pass(process, test, theta) == expected
+    measures = successful_measures(build_lts(process), test, len(theta))
+    assert passing_probability(measures, theta) == expected
+
+
+def _reaches_success(product, node):
+    # breadth-first over the product's step branches, without the closure
+    queue, seen = deque([(0, node)]), {(0, node)}
+    while queue:
+        state, node = queue.popleft()
+        if node.successful:
+            return True
+        for _, state2, node2 in product.step(state, node)[1]:
+            if (state2, node2) not in seen:
+                seen.add((state2, node2))
+                queue.append((state2, node2))
+    return False
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([None, 1, 3]), st.sampled_from(_TEST_FAMILIES))
+def test_can_succeed_matches_a_search_over_the_product(seed, loop, family):
+    # one product is asked about every test of a family in turn, so its
+    # memo is shared across tests, as in a witness search
+    process = random_term(Random(seed), depth=3, max_states=8)
+    if loop is not None:
+        process = t.Rec("L", t.Choice(t.Prefix(t.TAU, t.Rate(loop), t.Var("L")), process))
+    product = testing.InteractionProduct(build_lts(process))
+    for test in family:
+        assert product.can_succeed(0, test.root) == _reaches_success(product, test.root)
 
 
 def test_prob_pass_long_theta_on_tau_loops():
