@@ -5,7 +5,7 @@ labeled with the action name, the ready set of the source state (timed tau
 included) and the source's total exit rate.  Two processes are testing
 equivalent iff the embeddings assign equal probability to every finite
 word of augmented labels, which a Tzeng-style span computation decides in
-polynomial time over exact rationals.
+polynomial time with exact arithmetic.
 
 Two linear functionals are compared along the way: the all-ones vector
 (probability that a run starts with the word) and the terminal vector
@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses as d
 from collections import deque
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import terms as t
 from .errors import NotPerformanceClosed
@@ -94,74 +95,105 @@ class EquivReport:
     dimension: int
 
 
-def _apply(shift: int, matrix, vector: list[Fraction], out: list[Fraction]) -> None:
-    for src, row in matrix.items():
-        value = vector[shift + src]
-        if value:
-            for tgt, p in row:
-                out[shift + tgt] += value * p
+def _integers(values: Vector) -> list[int]:
+    """The integer vector with no common factor that is a positive multiple
+    of the rational vector values; all zeros stays all zeros."""
+    scale = lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (scale // x.denominator) for x in values]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _integer_rows(a1: WeightedAutomaton, a2: WeightedAutomaton,
+                  labels: list[AugmentedLabel]) -> list[tuple[AugmentedLabel, list]]:
+    """Per label, in order, the (source, ((target, weight), ...)) rows of
+    both automata over the joint state space, a2's states after a1's.  A
+    label's weights are its probabilities times the least common multiple
+    of their denominators, so each row is a positive multiple of the label
+    matrix's row, one multiple for the whole label."""
+    steps = []
+    for label in labels:
+        sides = [(shift, auto.matrices.get(label, {}))
+                 for shift, auto in ((0, a1), (a1.size, a2))]
+        scale = lcm(*(p.denominator for _, matrix in sides
+                      for row in matrix.values() for _, p in row))
+        steps.append((label, [
+            (shift + src, tuple((shift + tgt, p.numerator * (scale // p.denominator))
+                                for tgt, p in row))
+            for shift, matrix in sides for src, row in matrix.items()]))
+    return steps
 
 
 def prob_language_equiv(a1: WeightedAutomaton, a2: WeightedAutomaton) -> EquivReport:
     """Decide whether the two automata give every augmented-label word the
     same probability.  Returns a shortest differing word otherwise.
 
-    Vectors pushed to the worklist are the exact products init * M_w, so a
-    functional violation translates directly into the witness word; the
-    echelon basis of their residuals only bounds the exploration, which
+    The vector reached by a word w is an integer vector with no common
+    factor, a nonzero multiple of the exact product init * M_w.  Both
+    functionals are zero tests and the span of a set of vectors does not
+    change when one is scaled, so every test here answers as it would on
+    the exact products: a functional violation translates directly into
+    the witness word.  The echelon basis of the vectors' residuals, built
+    by fraction-free row reduction, only bounds the exploration, which
     therefore adds at most size1 + size2 vectors.
     """
     dim = a1.size + a2.size
     labels = sorted(
         set(a1.matrices) | set(a2.matrices), key=lambda label: label.sort_key
     )
+    steps = _integer_rows(a1, a2, labels)
     # Sign convention: the difference lives in the start vector, so both
     # functionals are applied unsigned.
-    v0 = list(a1.init) + [-x for x in a2.init]
-    f_term = list(a1.terminal) + list(a2.terminal)
+    v0 = _integers(list(a1.init) + [-x for x in a2.init])
+    f_term = _integers(list(a1.terminal) + list(a2.terminal))
 
-    def violates(v: list[Fraction]) -> bool:
+    def violates(v: list[int]) -> bool:
         if sum(v) != 0:
             return True
         return sum(x * w for x, w in zip(v, f_term)) != 0
 
-    basis: dict[int, list[Fraction]] = {}
+    # pivot -> basis vector with no common factor whose first nonzero
+    # entry is at the pivot
+    basis: dict[int, list[int]] = {}
 
-    def residual(v: list[Fraction]) -> list[Fraction]:
-        v = list(v)
+    def insert(v: list[int]) -> bool:
+        """Add the residual of v to the basis; False when v is in its span."""
+        r = v
         for pivot in sorted(basis):
-            if v[pivot]:
-                coeff = v[pivot]
-                bvec = basis[pivot]
-                for k in range(pivot, dim):
-                    v[k] -= coeff * bvec[k]
-        return v
-
-    def insert(v: list[Fraction]) -> bool:
-        r = residual(v)
+            if r[pivot]:
+                b = basis[pivot]
+                g = gcd(b[pivot], r[pivot])
+                scale, coeff = b[pivot] // g, r[pivot] // g
+                r = [scale * x - coeff * y for x, y in zip(r, b)]
         for pivot in range(dim):
             if r[pivot]:
-                lead = r[pivot]
-                basis[pivot] = [x / lead for x in r]
+                g = gcd(*r)
+                basis[pivot] = [x // g for x in r] if g > 1 else r
                 return True
         return False
 
-    queue: deque[tuple[list[Fraction], tuple[AugmentedLabel, ...]]] = deque()
+    queue: deque[tuple[list[int], tuple[AugmentedLabel, ...]]] = deque()
     if violates(v0):
         return EquivReport(False, (), 0, dim)
     if insert(v0):
         queue.append((v0, ()))
     while queue:
         vector, word = queue.popleft()
-        for label in labels:
-            out = [Fraction(0)] * dim
-            _apply(0, a1.matrices.get(label, {}), vector, out)
-            _apply(a1.size, a2.matrices.get(label, {}), vector, out)
+        for label, rows in steps:
+            out = [0] * dim
+            for src, row in rows:
+                value = vector[src]
+                if value:
+                    for tgt, weight in row:
+                        out[tgt] += value * weight
             if not any(out):
                 continue
             extended = word + (label,)
             if violates(out):
                 return EquivReport(False, extended, len(basis), dim)
+            g = gcd(*out)
+            if g > 1:
+                out = [x // g for x in out]
             if insert(out):
                 queue.append((out, extended))
     assert len(basis) <= dim

@@ -16,56 +16,58 @@ state.  Formulas: "true", "<a> phi", "phi \\/ phi", parentheses.
 
 from __future__ import annotations
 
-import dataclasses as d
 import re
 from fractions import Fraction
 
 from . import terms as t
 from .errors import ParseError, RateValueError, ReservedNameError
 
+# One match per token: leading whitespace, then the token, a lone
+# character that starts no token, or the end of the source.  Every offset
+# matches, so one pass over the source reads every token.
 _TOKENS = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<number>\d+(?:\.\d+)?)
+    \s*(?:
+      (?P<number>\d+(?:\.\d+)?)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<symbol>\|\[|\]\||->|\\/|[<>,.+/{}()\[\]:*])
+    | (?P<bad>\S)
+    | (?P<end>\Z)
+    )
     """,
     re.VERBOSE,
 )
 
+# A token is (kind, text, offset into the source), kind one of "number",
+# "ident", "symbol" and "end"; the end token has empty text.
+Token = tuple[str, str, int]
 
-@d.dataclass(frozen=True)
-class Token:
-    kind: str  # "number" | "ident" | "symbol" | "end"
-    text: str
-    line: int
-    column: int
+
+def _position(source: str, offset: int) -> tuple[int, int]:
+    """Line and column, both counted from 1, of an offset into source.
+    Lines end at newlines; any other character, a tab or a carriage
+    return too, is one column."""
+    line_start = source.rfind("\n", 0, offset) + 1
+    return source.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
 def _tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, column, index = 1, 1, 0
-    while index < len(source):
-        match = _TOKENS.match(source, index)
-        if match is None:
-            raise ParseError(f"unexpected character {source[index]!r}", line, column)
-        kind = match.lastgroup or ""
-        text = match.group()
-        if kind != "ws":
-            tokens.append(Token(kind, text, line, column))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            column = len(text) - text.rindex("\n")
-        else:
-            column += len(text)
-        index = match.end()
-    tokens.append(Token("end", "", line, column))
+    for match in _TOKENS.finditer(source):
+        kind = match.lastgroup
+        start = match.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {match[kind]!r}",
+                             *_position(source, start))
+        tokens.append((kind, match[kind], start))
+        if kind == "end":
+            break
     return tokens
 
 
 class _Stream:
     def __init__(self, source: str):
+        self.source = source
         self.tokens = _tokenize(source)
         self.position = 0
 
@@ -73,40 +75,45 @@ class _Stream:
     def current(self) -> Token:
         return self.tokens[self.position]
 
+    def error_at(self, token: Token, message: str, error=ParseError) -> ParseError:
+        return error(message, *_position(self.source, token[2]))
+
     def error(self, message: str) -> ParseError:
         tok = self.current
-        shown = tok.text or "end of input"
-        return ParseError(f"{message} (found {shown!r})", tok.line, tok.column)
+        shown = tok[1] or "end of input"
+        return self.error_at(tok, f"{message} (found {shown!r})")
 
     def check(self, text: str) -> bool:
-        return self.current.text == text and self.current.kind != "end"
+        # text is never empty, so the end token never matches
+        return self.tokens[self.position][1] == text
 
     def accept(self, text: str) -> bool:
-        if self.check(text):
+        if self.tokens[self.position][1] == text:
             self.position += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        if not self.check(text):
+    def expect(self, text: str) -> None:
+        if not self.accept(text):
             raise self.error(f"expected {text!r}")
-        tok = self.current
-        self.position += 1
-        return tok
 
     def ident(self, what: str = "name") -> str:
-        if self.current.kind != "ident":
+        kind, text, _ = self.tokens[self.position]
+        if kind != "ident":
             raise self.error(f"expected {what}")
-        tok = self.current
         self.position += 1
-        return tok.text
+        return text
 
     def number(self) -> Fraction:
-        if self.current.kind != "number":
+        kind, text, _ = self.tokens[self.position]
+        if kind != "number":
             raise self.error("expected number")
-        tok = self.current
         self.position += 1
-        return Fraction(tok.text)
+        return Fraction(text)
+
+    def has_ident(self, text: str) -> bool:
+        """Whether some identifier token of the source spells text."""
+        return any(kind == "ident" and tok_text == text for kind, tok_text, _ in self.tokens)
 
 
 def _parse_rate(stream: _Stream) -> t.Rate:
@@ -116,10 +123,10 @@ def _parse_rate(stream: _Stream) -> t.Rate:
     if stream.accept("/"):
         denominator = stream.number()
         if denominator == 0:
-            raise RateValueError("zero denominator", tok.line, tok.column)
+            raise stream.error_at(tok, "zero denominator", RateValueError)
         value = value / denominator
     if value <= 0:
-        raise RateValueError(f"rate must be positive, got {value}", tok.line, tok.column)
+        raise stream.error_at(tok, f"rate must be positive, got {value}", RateValueError)
     return t.Rate(value, passive=passive)
 
 
@@ -146,7 +153,7 @@ class _TermParser:
 
     def parse(self) -> t.ProcessTerm:
         term = self.choice()
-        if self.stream.current.kind != "end":
+        if self.stream.current[0] != "end":
             raise self.stream.error("trailing input")
         return term
 
@@ -185,22 +192,27 @@ class _TermParser:
                 if t.TAU in (old, new):
                     raise self.stream.error("relabeling must keep tau fixed")
                 if targets.setdefault(old, new) != new:
-                    raise ParseError(f"{old} is relabeled to both {targets[old]} and {new}",
-                                     start.line, start.column)
+                    raise self.stream.error_at(
+                        start, f"{old} is relabeled to both {targets[old]} and {new}")
                 if not self.stream.accept(","):
                     break
         self.stream.expect("]")
         return tuple(targets.items())
 
     def prefixed(self) -> t.ProcessTerm:
-        if self.stream.accept("<"):
-            name = self.stream.ident("action name")
-            self.stream.expect(",")
-            rate = _parse_rate(self.stream)
-            self.stream.expect(">")
-            self.stream.expect(".")
-            return t.Prefix(name, rate, self.prefixed())
-        return self.atom()
+        stream = self.stream
+        actions = []
+        while stream.accept("<"):
+            name = stream.ident("action name")
+            stream.expect(",")
+            rate = _parse_rate(stream)
+            stream.expect(">")
+            stream.expect(".")
+            actions.append((name, rate))
+        term = self.atom()
+        for name, rate in reversed(actions):
+            term = t.Prefix(name, rate, term)
+        return term
 
     def atom(self) -> t.ProcessTerm:
         stream = self.stream
@@ -210,12 +222,11 @@ class _TermParser:
             term = self.choice()
             stream.expect(")")
             return term
-        if stream.check("rec"):
-            stream.expect("rec")
+        if stream.accept("rec"):
             var = stream.ident("recursion variable")
             stream.expect(":")
             return t.Rec(var, self.choice())
-        if stream.current.kind == "ident":
+        if stream.current[0] == "ident":
             name = stream.ident()
             if self.test_mode and name == "s":
                 return t.SUCCESS
@@ -226,10 +237,15 @@ class _TermParser:
 def parse_term(source: str) -> t.ProcessTerm:
     """Parse a process term.  Recursion binders are renamed to canonical
     depth-indexed names so alpha-equivalent terms parse identically."""
-    term = _TermParser(_Stream(source), test_mode=False).parse()
-    if t.uses_failure_name(term):
+    stream = _Stream(source)
+    term = _TermParser(stream, test_mode=False).parse()
+    # Only an identifier can spell the reserved name, and only the
+    # keyword rec makes a binder: the term is walked only when needed.
+    if stream.has_ident(t.FAILURE_NAME) and t.uses_failure_name(term):
         raise ReservedNameError(f"name {t.FAILURE_NAME!r} is reserved for tests")
-    return t.alpha_normalize(term)
+    if stream.has_ident("rec"):
+        return t.alpha_normalize(term)
+    return term
 
 
 def parse_test_body(source: str) -> t.ProcessTerm:
@@ -267,6 +283,6 @@ def parse_formula(source: str):
         raise stream.error("expected a formula")
 
     formula = or_formula()
-    if stream.current.kind != "end":
+    if stream.current[0] != "end":
         raise stream.error("trailing input")
     return formula

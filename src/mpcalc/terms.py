@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses as d
 from fractions import Fraction
+from operator import is_
 from typing import Iterator, Sequence
 
 from .errors import NotWellFormed, ReservedNameError
@@ -302,19 +303,27 @@ def substitute(term: ProcessTerm, var: str, replacement: ProcessTerm) -> Process
 
 def alpha_normalize(term: ProcessTerm) -> ProcessTerm:
     """Rename recursion binders to canonical names X1, X2, ... by binder
-    nesting depth, so alpha-equivalent closed terms become identical."""
+    nesting depth, so alpha-equivalent closed terms become identical.
+    Every subterm that no renaming reaches is kept as it is, not copied,
+    so a term that is already canonical comes back as the same object."""
     return _alpha(term, {}, 0, free_vars(term))
 
 
 def _alpha(term: ProcessTerm, env: dict[str, str], depth: int, free: frozenset[str]) -> ProcessTerm:
     if isinstance(term, Var):
-        return Var(env.get(term.name, term.name))
+        name = env.get(term.name, term.name)
+        return term if name == term.name else Var(name)
     if isinstance(term, Rec):
         name = f"X{depth + 1}"
         while name in free:
             name += "_"
-        return Rec(name, _alpha(term.body, {**env, term.var: name}, depth + 1, free))
-    return with_children(term, [_alpha(child, env, depth, free) for child in children(term)])
+        body = _alpha(term.body, {**env, term.var: name}, depth + 1, free)
+        return term if name == term.var and body is term.body else Rec(name, body)
+    kids = children(term)
+    renamed = [_alpha(child, env, depth, free) for child in kids]
+    if all(map(is_, renamed, kids)):
+        return term
+    return with_children(term, renamed)
 
 
 # Pretty printing.  Binding strength, tightest first: prefix, then hiding

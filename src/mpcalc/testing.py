@@ -222,21 +222,21 @@ class InteractionProduct:
             self._steps[key] = self._step(state, node)
         return self._steps[key]
 
-    def _rule(self, state: int, node: TestState) -> list[tuple]:
+    def _rule(self, state: int, node: TestState) -> Iterator[tuple]:
         """The moves of the product state, process moves first, as (name,
-        rate, passive test weight or None, process state, test node)."""
-        moves = []
+        rate, passive test weight or None, process state, test node),
+        made one at a time: can_succeed stops at the first move that
+        reaches success."""
         for name, value, target in self._moves[state]:
             if name == t.TAU:
-                moves.append((name, value, None, target, node))
+                yield name, value, None, target, node
                 continue
             for sname, srate, sbody in node.summands:
                 if sname == name and srate.passive:
-                    moves.append((name, value, srate.value, target, sbody))
+                    yield name, value, srate.value, target, sbody
         for sname, srate, sbody in node.summands:
             if sname == t.TAU and not srate.passive:
-                moves.append((sname, srate.value, None, state, sbody))
-        return moves
+                yield sname, srate.value, None, state, sbody
 
     def _step(self, state: int, node: TestState) -> Step:
         weights: dict[str, Fraction] = {}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+from collections import deque
 from fractions import Fraction
 from random import Random
 
@@ -8,7 +9,7 @@ import pytest
 
 from mpcalc import decider, oracle
 from mpcalc.corpus import chain_pair, random_pairs, random_term
-from mpcalc.decider import (AugmentedLabel, decide_equiv, embed,
+from mpcalc.decider import (AugmentedLabel, EquivReport, decide_equiv, embed,
                             prob_language_equiv)
 from mpcalc.errors import NotPerformanceClosed
 from mpcalc.parser import parse_term
@@ -62,6 +63,94 @@ def test_language_equiv_one_letter_witness():
     assert letter.name == "tau" and letter.ready == frozenset({"tau"})
     # exit rates 1 and 2 name disjoint alphabets, so one letter suffices
     assert letter.exit_rate in (Fraction(1), Fraction(2))
+
+
+def _dense_fraction_span(a1, a2):
+    """Reference: the span on exact Fraction vectors init * M_w, with a
+    normalized echelon basis; prob_language_equiv must agree with it."""
+    dim = a1.size + a2.size
+    labels = sorted(set(a1.matrices) | set(a2.matrices), key=lambda label: label.sort_key)
+    v0 = list(a1.init) + [-x for x in a2.init]
+    f_term = list(a1.terminal) + list(a2.terminal)
+
+    def violates(v):
+        return sum(v) != 0 or sum(x * w for x, w in zip(v, f_term)) != 0
+
+    basis = {}
+
+    def insert(v):
+        r = list(v)
+        for pivot in sorted(basis):
+            if r[pivot]:
+                coeff = r[pivot]
+                r = [x - coeff * y for x, y in zip(r, basis[pivot])]
+        for pivot in range(dim):
+            if r[pivot]:
+                basis[pivot] = [x / r[pivot] for x in r]
+                return True
+        return False
+
+    if violates(v0):
+        return EquivReport(False, (), 0, dim)
+    queue = deque([(v0, ())]) if insert(v0) else deque()
+    while queue:
+        vector, word = queue.popleft()
+        for label in labels:
+            out = [Fraction(0)] * dim
+            for shift, auto in ((0, a1), (a1.size, a2)):
+                for src, row in auto.matrices.get(label, {}).items():
+                    for tgt, p in row:
+                        out[shift + tgt] += vector[shift + src] * p
+            if not any(out):
+                continue
+            if violates(out):
+                return EquivReport(False, word + (label,), len(basis), dim)
+            if insert(out):
+                queue.append((out, word + (label,)))
+    return EquivReport(True, None, len(basis), dim)
+
+
+def _same_as_reference(left, right):
+    a1, a2 = embed(build_lts(left)), embed(build_lts(right))
+    report = prob_language_equiv(a1, a2)
+    assert report == _dense_fraction_span(a1, a2)
+    return report
+
+
+def test_integer_span_matches_the_fraction_span_on_corpus_pairs():
+    verdicts = {_same_as_reference(sample.left, sample.right).equivalent
+                for sample in random_pairs(Random(24), 60, depth=3, max_states=10)}
+    assert verdicts == {True, False}
+
+
+def _loop(k):
+    """rec X : F(...F(X)), F applied k times, where F(Y) races a, b and c
+    at rates with denominators 3, 7 and 11 into Y: a cycle of k states,
+    testing equivalent to the cycle of any other length."""
+    term = "X"
+    for _ in range(k):
+        term = f"(<a,1/3>.{term} + <b,2/7>.{term} + <c,5/11>.{term})"
+    return parse_term(f"rec X : {term}")
+
+
+def test_integer_span_matches_the_fraction_span_on_coprime_denominators():
+    for left, right in [
+        ("<a,1/3>.0 + <b,2/7>.<c,5/11>.0", "<a,1/3>.0 + <b,2/7>.<c,5/11>.<a,1/3>.0"),
+        ("<a,1/3>.<b,2/7>.0 + <a,2/7>.<c,5/11>.0 + <d,5/11>.0",
+         "<a,2/7>.<b,2/7>.0 + <a,1/3>.<c,5/11>.0 + <d,5/11>.0"),
+        ("<tau,1/3>.<a,2/7>.0 + <b,5/11>.0", "<tau,1/3>.<a,5/11>.0 + <b,5/11>.0"),
+    ]:
+        assert not _same_as_reference(parse_term(left), parse_term(right)).equivalent
+    # a's probabilities 77/248 and 33/124 on the left sum to the right's
+    # 143/248, over targets that differ only in their terms
+    assert _same_as_reference(
+        parse_term("<a,1/3>.<b,1>.0 + <a,2/7>.<b,1>.(0 + 0) + <d,5/11>.0"),
+        parse_term("<a,13/21>.<b,1>.0 + <d,5/11>.0")).equivalent
+    # Every vector of an equivalent pair has coordinate sum 0, so a basis
+    # of dimension - 1 vectors is as large as one can be.
+    full = _same_as_reference(_loop(1), _loop(3))
+    assert full.equivalent
+    assert full.basis_size == full.dimension - 1 == 3
 
 
 def test_decide_deferred_choice_figure():

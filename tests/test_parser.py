@@ -60,6 +60,35 @@ def test_parse_errors():
         parse_term("<z,1>.0")
 
 
+@pytest.mark.parametrize("parse, source, error, message, line, column", [
+    (parse_term, "<a,1>.0 +\n\t#", ParseError, "unexpected character '#'", 2, 2),
+    (parse_term, "<a,1>.0\t$", ParseError, "unexpected character '$'", 1, 9),
+    (parse_term, "<a,1>.0 +\n\t<b,1> 0", ParseError, "expected '.' (found '0')", 2, 8),
+    (parse_term, "<a,1>.0 +\r\n\t(<b,1>.0", ParseError,
+     "expected ')' (found 'end of input')", 2, 10),
+    (parse_term, "", ParseError, "expected a term (found 'end of input')", 1, 1),
+    (parse_term, "<a,1>.\n", ParseError, "expected a term (found 'end of input')", 2, 1),
+    (parse_term, "<a,1>.0 +\r\n", ParseError, "expected a term (found 'end of input')", 2, 1),
+    (parse_term, "   \n  ", ParseError, "expected a term (found 'end of input')", 2, 3),
+    (parse_term, "<a,1>.0 +\r\n <b,1/0>.0", RateValueError, "zero denominator", 2, 5),
+    (parse_term, "<a,1>.0 +\n  <b,0>.0", RateValueError, "rate must be positive, got 0", 2, 6),
+    (parse_term, "<a,1>.0 +\n\t<b,*0/3>.0", RateValueError, "rate must be positive, got 0",
+     2, 5),
+    (parse_term, "<a,1>.0\n\t[a->b,\r\n  a->c]", ParseError,
+     "a is relabeled to both b and c", 3, 3),
+    (parse_test_body, "<a,*1>.s +\n\t<b,*1>. ", ParseError,
+     "expected a term (found 'end of input')", 2, 10),
+    (parse_formula, "<a>\ttrue\n)", ParseError, "trailing input (found ')')", 2, 1),
+])
+def test_parse_error_positions(parse, source, error, message, line, column):
+    # columns count characters from 1, a tab or a carriage return as one
+    with pytest.raises(error) as caught:
+        parse(source)
+    assert type(caught.value) is error
+    assert (caught.value.line, caught.value.column) == (line, column)
+    assert str(caught.value) == f"{message} at {line}:{column}"
+
+
 def test_passive_tau_parses_but_is_never_performance_closed():
     # The grammar does not restrict which actions may be passive.
     term = parse_term("<tau,*1>.0")

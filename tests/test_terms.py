@@ -9,6 +9,7 @@ import pytest
 from mpcalc import terms as t
 from mpcalc.corpus import random_term
 from mpcalc.errors import NotWellFormed
+from mpcalc.parser import parse_term
 
 
 def test_rate_must_be_positive():
@@ -69,6 +70,33 @@ def test_alpha_normalize_identifies_bound_renamings():
     one = t.Rec("X", t.Prefix("a", t.Rate(1), t.Var("X")))
     two = t.Rec("Y", t.Prefix("a", t.Rate(1), t.Var("Y")))
     assert t.alpha_normalize(one) == t.alpha_normalize(two)
+
+
+def test_alpha_normalize_keeps_what_it_does_not_rename():
+    a_loop = t.Prefix("a", t.Rate(1), t.Var("X1"))
+    for term in (t.Choice(t.Prefix("b", t.Rate(2), t.NIL), t.NIL),
+                 t.Rec("X1", t.Choice(a_loop, t.Rec("X2", t.Prefix("b", t.Rate(1), t.Var("X2")))))):
+        assert t.alpha_normalize(term) is term
+    binder_free = t.Prefix("b", t.Rate(2), t.NIL)
+    renamed = t.alpha_normalize(t.Choice(binder_free, t.Rec("Y", t.Prefix("a", t.Rate(1), t.Var("Y")))))
+    assert renamed == t.Choice(binder_free, t.Rec("X1", a_loop))
+    assert renamed.left is binder_free
+
+
+def test_alpha_normalize_steps_around_free_names():
+    # a free X1 pushes the binder to X1_, even one already named X1
+    term = t.Choice(t.Var("X1"), t.Rec("X1", t.Prefix("a", t.Rate(1), t.Var("X1"))))
+    assert t.alpha_normalize(term) == t.Choice(
+        t.Var("X1"), t.Rec("X1_", t.Prefix("a", t.Rate(1), t.Var("X1_"))))
+
+
+def test_alpha_equivalent_terms_parse_equal():
+    assert parse_term("rec Y : <a,1>.Y + rec Z : <b,1>.Z") == parse_term(
+        "rec X : <a,1>.X + rec X : <b,1>.X")
+    nested = parse_term("rec P : <a,1>.rec Q : <b,1>.(P + Q)")
+    assert nested == parse_term("rec A : <a,1>.rec B : <b,1>.(A + B)")
+    assert nested == t.Rec("X1", t.Prefix("a", t.Rate(1), t.Rec("X2", t.Prefix(
+        "b", t.Rate(1), t.Choice(t.Var("X1"), t.Var("X2"))))))
 
 
 def test_substitute_closed_replacement():
