@@ -56,7 +56,9 @@ def parse_theta(text: str):
         return make_theta(())
     try:
         return make_theta(Fraction(part) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
+        raise CalcError(f"bad theta {text!r}: zero denominator") from exc
+    except ValueError as exc:
         raise CalcError(f"bad theta {text!r}: {exc}") from exc
 
 

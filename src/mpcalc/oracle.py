@@ -22,21 +22,28 @@ terms; the decider runs search_witness on the LMTSs it decided on, to
 turn an inequivalence into a distinguishing (test, theta) pair.  The
 loop skips, without measuring, every test whose success neither
 process can reach (InteractionProduct.can_succeed): its measures are
-empty at every length on both sides and cannot differ.
+empty at every length on both sides and cannot differ.  It measures the
+other tests on the same two products, with one measure memo per side
+for the whole search, held weakly by test node: a continuation that
+many canonical tests share is measured once, and the entries of a
+consumed test go with its nodes.  The loop reads no test's term, so a
+canonical test builds its term only if it is returned as the witness.
 """
 
 from __future__ import annotations
 
 import dataclasses as d
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, MutableMapping
 from fractions import Fraction
 from itertools import product as cartesian
+from weakref import WeakKeyDictionary
 
 from . import terms as t
 from .computations import breakpoint_grid
 from .errors import CalcError
 from .semantics import LMTS, build_lts
-from .testing import InteractionProduct, Test, TestState, canonical_tests, flavored_tests
+from .testing import (InteractionProduct, Test, TestState, canonical_tests, flavored_tests,
+                      node_memo)
 
 Vector = tuple[Fraction, ...]
 Measure = dict[Vector, Fraction]
@@ -47,32 +54,35 @@ def successful_measures(lts: LMTS, test: Test, max_len: int) -> list[Measure]:
     grouped by their stepwise sojourn-time vectors."""
     if max_len < 0:
         raise CalcError(f"computation length must be at least 0, got {max_len}")
-    product = InteractionProduct(lts)
-    # (state, node, seen, budget): its measure; (state, node): whether it
-    # can succeed, kept here since the product stores no answer for the
-    # pair it is asked about
-    cache: dict[tuple, Measure | bool] = {}
-    return [_measure(product, cache, 0, test.root, False, length) for length in range(max_len + 1)]
+    return _measures(InteractionProduct(lts), {}, test.root, max_len)
 
 
-def _measure(product: InteractionProduct, cache: dict, state: int, node: TestState,
+def _measures(product: InteractionProduct, memo: MutableMapping, root: TestState,
+              max_len: int) -> list[Measure]:
+    """successful_measures of the test with this root on the product.
+    memo maps a test node to its measures, keyed by (process state, seen,
+    budget); a search shares one across its tests."""
+    return [_measure(product, memo, 0, root, False, length) for length in range(max_len + 1)]
+
+
+def _measure(product: InteractionProduct, memo: MutableMapping, state: int, node: TestState,
              seen: bool, budget: int) -> Measure:
     seen = seen or node.successful
     if budget == 0:
         return {(): Fraction(1)} if seen else {}
-    key = (state, node, seen, budget)
-    if key in cache:
-        return cache[key]
-    out: Measure = {}
-    if not seen and (state, node) not in cache:
-        cache[state, node] = product.can_succeed(state, node)
-    if seen or cache[state, node]:
+    known = node_memo(memo, node)
+    key = (state, seen, budget)
+    out = known.get(key)
+    if out is not None:
+        return out
+    out = {}
+    if seen or product.can_succeed(state, node):
         sojourn, branches = product.step(state, node)
         for share, state2, node2 in branches:
-            for vector, mass in _measure(product, cache, state2, node2, seen, budget - 1).items():
+            for vector, mass in _measure(product, memo, state2, node2, seen, budget - 1).items():
                 key2 = (sojourn,) + vector
                 out[key2] = out.get(key2, Fraction(0)) + share * mass
-    cache[key] = out
+    known[key] = out
     return out
 
 
@@ -116,12 +126,16 @@ def _search(lts1: LMTS, lts2: LMTS, tests: Iterable[Test], max_len: int,
     if max_len < 0:
         raise CalcError(f"computation length must be at least 0, got {max_len}")
     products = (InteractionProduct(lts1), InteractionProduct(lts2))
+    # one measure memo per side for the whole search, held weakly by test
+    # node, so that it keeps nothing of a consumed test
+    memos = (WeakKeyDictionary(), WeakKeyDictionary())
     checked = 0
     for checked, test in enumerate(tests, 1):
-        if not any(product.can_succeed(0, test.root) for product in products):
+        root = test.root
+        if not any(product.can_succeed(0, root) for product in products):
             continue
-        found = differ(successful_measures(lts1, test, max_len),
-                       successful_measures(lts2, test, max_len))
+        found = differ(*[_measures(product, memo, root, max_len)
+                         for product, memo in zip(products, memos)])
         if found is not None:
             theta, left, right = found
             return OracleVerdict(False, test, theta, left, right, checked)

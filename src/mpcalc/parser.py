@@ -109,7 +109,8 @@ class _Stream:
         if kind != "number":
             raise self.error("expected number")
         self.position += 1
-        return Fraction(text)
+        # an integer converts without Fraction's parse of the text
+        return Fraction(int(text)) if text.isdigit() else Fraction(text)
 
     def has_ident(self, text: str) -> bool:
         """Whether some identifier token of the source spells text."""

@@ -29,7 +29,8 @@ class Rate:
     passive: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", Fraction(self.value))
+        if not isinstance(self.value, Fraction):
+            object.__setattr__(self, "value", Fraction(self.value))
         if self.value <= 0:
             raise ValueError(f"rate must be positive, got {self.value}")
 

@@ -15,17 +15,21 @@ projection is exactly s).  A computation is successful when it traverses
 a successful configuration anywhere, origin included; computations may
 extend past success, which matters for timed silent moves.
 
-This module makes the tests: a Test checks the grammar of its flavor
-and indexes its nodes into linked TestStates in one walk when it is
-made, canonical_tests builds the canonical reactive tests as they are
-consumed, and flavored_tests turns them into their liberal or tau
-variants.  Both index only the nodes a test adds to the tests made
-before it: a canonical test's root, a variant's edited path.  It also
-owns the interaction product: InteractionProduct steps a process LMTS
-and a test's states together by its one move rule, and memoizes which
-product states can still reach success.  prob_pass (one forward pass,
-pruned by theta), the oracle's successful_measures and its witness
-search all run on it and prune on that memo.
+This module makes the tests.  Test(term, flavor) checks the term
+against the grammar of its flavor and indexes its nodes into linked
+TestStates in one walk.  canonical_tests makes the canonical reactive
+tests as they are consumed, each as one new root state over the states
+of the tests made before it; it builds and indexes no term, and a test
+builds its term from its states when the term is first read (printed,
+compared, hashed, or returned as a witness), each node's term once.
+flavored_tests turns them into their liberal or tau variants, which
+read the base test's term and index only the nodes of the edited path.
+It also owns the interaction product: InteractionProduct steps a
+process LMTS and a test's states together by its one move rule, and
+memoizes, held weakly by test node, its steps and which product states
+can still reach success.  prob_pass (one forward pass, pruned by
+theta), the oracle's successful_measures and its witness search all run
+on it and prune on that memo.
 The term-level route (interaction, interaction_lts,
 successful_computations, then computations.prob_set) composes the
 interaction term and enumerates its computations one by one; it follows
@@ -36,9 +40,10 @@ compares against.
 from __future__ import annotations
 
 import dataclasses as d
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, MutableMapping
 from fractions import Fraction
 from itertools import chain, combinations
+from weakref import WeakKeyDictionary
 
 from . import terms as t
 from .computations import Computation, Theta, enumerate_computations
@@ -52,29 +57,68 @@ FLAVORS = ("reactive", "liberal", "tau")
 @d.dataclass(frozen=True, eq=False)
 class TestState:
     """A node of a test: its prefix summands (name, rate, state of the
-    body), whether s is a summand, and whether success is still
-    reachable, given that z never synchronizes.  States compare and hash
-    by identity, so tests built on a shared subtree share its states."""
+    body), whether s is a summand, whether success is still reachable,
+    given that z never synchronizes, and its term.  States compare and
+    hash by identity, so tests built on a shared subtree share its
+    states.  A canonical test's node is made from states, with no term
+    until _term_of builds it."""
 
     summands: tuple[tuple[str, t.Rate, TestState], ...]
     successful: bool
     live: bool
+    term: t.ProcessTerm | None = d.field(default=None, repr=False)
 
 
-@d.dataclass(frozen=True)
+def _term_of(state: TestState) -> t.ProcessTerm:
+    """The term of a test node, built from its states the first time it
+    is read and kept on the state, so that a continuation that many tests
+    share builds its term once.  A node made from states is a canonical
+    test's root: the choice of its prefix summands, in order."""
+    if state.term is None:
+        object.__setattr__(state, "term", t.nest_right(
+            [t.Prefix(name, rate, _term_of(body)) for name, rate, body in state.summands]))
+    return state.term
+
+
 class Test:
-    """A test term of the given flavor, checked against its grammar when it
-    is made.  root is the TestState of the term, linked to the states
-    of all its nodes."""
+    """A test of the given flavor.  Test(term, flavor) checks the term
+    against the grammar of the flavor and indexes it: root is the
+    TestState of the term, linked to the states of all its nodes.  The
+    canonical tests are made from their states instead and build their
+    term the first time it is read.  Tests are immutable, and compare
+    and hash by term and flavor."""
 
-    term: t.ProcessTerm
-    flavor: str = "reactive"
-    root: TestState = d.field(init=False, repr=False, compare=False)
+    __slots__ = ("root", "flavor")
 
-    def __post_init__(self) -> None:
-        if self.flavor not in FLAVORS:
-            raise ValueError(f"unknown test flavor {self.flavor!r}")
-        object.__setattr__(self, "root", _index(self.term, self.flavor, {}))
+    def __init__(self, term: t.ProcessTerm, flavor: str = "reactive"):
+        if flavor not in FLAVORS:
+            raise ValueError(f"unknown test flavor {flavor!r}")
+        object.__setattr__(self, "root", _index(term, flavor, {}))
+        object.__setattr__(self, "flavor", flavor)
+
+    @property
+    def term(self) -> t.ProcessTerm:
+        return _term_of(self.root)
+
+    def __setattr__(self, name, value):
+        raise d.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise d.FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _test_of, (self.root, self.flavor)
+
+    def __eq__(self, other):
+        if not isinstance(other, Test):
+            return NotImplemented
+        return self.flavor == other.flavor and self.term == other.term
+
+    def __hash__(self) -> int:
+        return hash((self.term, self.flavor))
+
+    def __repr__(self) -> str:
+        return f"Test(term={self.term!r}, flavor={self.flavor!r})"
 
     def __str__(self) -> str:
         return t.pretty(self.term)
@@ -83,13 +127,11 @@ class Test:
 make_test = Test
 
 
-def _test_on(term: t.ProcessTerm, flavor: str, known: dict[t.ProcessTerm, TestState]) -> Test:
-    """Test(term, flavor), reusing the states in known instead of indexing
-    those nodes again; the flavor must be a known one."""
+def _test_of(root: TestState, flavor: str) -> Test:
+    """The test whose root state is root; the flavor must be a known one."""
     test = object.__new__(Test)
-    object.__setattr__(test, "term", term)
+    object.__setattr__(test, "root", root)
     object.__setattr__(test, "flavor", flavor)
-    object.__setattr__(test, "root", _index(term, flavor, known))
     return test
 
 
@@ -128,7 +170,7 @@ def _index(node: t.ProcessTerm, flavor: str, known: dict[t.ProcessTerm, TestStat
         summands.append((part.name, part.rate, body))
         if body.live and part.name != t.FAILURE_NAME:
             live = True
-    return TestState(tuple(summands), successful, live)
+    return TestState(tuple(summands), successful, live, node)
 
 
 def parse_test(source: str, flavor: str = "reactive") -> Test:
@@ -182,6 +224,15 @@ def successful_computations(
 Step = tuple[Fraction | None, tuple[tuple[Fraction, int, TestState], ...]]
 
 
+def node_memo(memo: MutableMapping[TestState, dict], node: TestState) -> dict:
+    """The entries that memo holds for the test node.  In a
+    WeakKeyDictionary they live as long as the node does."""
+    entries = memo.get(node)
+    if entries is None:
+        entries = memo[node] = {}
+    return entries
+
+
 class InteractionProduct:
     """The interaction of a performance-closed LMTS with a test, stepped on
     (process state index, test node) pairs instead of composed terms.
@@ -197,30 +248,42 @@ class InteractionProduct:
     test node.  Most tests of a witness search cannot be passed: their
     success path asks for names in an order that the process never
     offers.  The search skips them, and prob_pass and successful_measures
-    drop the states that carry no successful mass.  The answers are
-    memoized for the life of the product.  The process's tau moves, which
-    leave the test node where it is, are folded into a per-state closure,
-    so the recursion only goes down the test and ends.  Canonical tests
-    share the nodes of their continuations, so the memo answers for them
-    across tests; the node asked about is not stored, so a search keeps
-    no test after it is consumed.
+    drop the states that carry no successful mass.  The process's tau
+    moves, which leave the test node where it is, are folded into a
+    per-state closure, so the recursion only goes down the test and ends.
+
+    The steps and the answers of can_succeed are memoized by test node,
+    held weakly (node_memo): canonical tests share the nodes of their
+    continuations, so the memos answer for them across tests, and the
+    entries of a node go when the node does, so a search keeps nothing
+    of a test it has consumed.  The node can_succeed is asked about is
+    not stored: a search asks once about each test's new root.
     """
 
     def __init__(self, lts: LMTS):
         if not lts.performance_closed:
             raise NotPerformanceClosed("the process under test is not performance-closed")
         self._moves = lts.moves
-        self._steps: dict[tuple[int, TestState], Step] = {}
+        self._steps: WeakKeyDictionary[TestState, dict[int, Step]] = WeakKeyDictionary()
         self._closures: dict[int, tuple[int, ...]] = {}
-        self._reach: dict[tuple[int, TestState], bool] = {}
+        self._reach: WeakKeyDictionary[TestState, dict[int, bool]] = WeakKeyDictionary()
 
     def step(self, state: int, node: TestState) -> Step:
         """Mean sojourn time of the product state, None when it has no
         move, and its branches (probability, process state, test node)."""
-        key = (state, node)
-        if key not in self._steps:
-            self._steps[key] = self._step(state, node)
-        return self._steps[key]
+        steps = node_memo(self._steps, node)
+        known = steps.get(state)
+        if known is None:
+            step = self._step(state, node)
+            # the entry names the node itself, which a tau move of the
+            # process leaves in place, as None: an entry that held its
+            # own node would keep the node, and so the entry, alive
+            steps[state] = step[0], tuple([(share, state2, None if node2 is node else node2)
+                                           for share, state2, node2 in step[1]])
+            return step
+        sojourn, branches = known
+        return sojourn, tuple([(share, state2, node if node2 is None else node2)
+                               for share, state2, node2 in branches])
 
     def _rule(self, state: int, node: TestState) -> Iterator[tuple]:
         """The moves of the product state, process moves first, as (name,
@@ -262,10 +325,10 @@ class InteractionProduct:
         return False
 
     def _reaches(self, state: int, node: TestState) -> bool:
-        key = (state, node)
-        known = self._reach.get(key)
+        reach = node_memo(self._reach, node)
+        known = reach.get(state)
         if known is None:
-            known = self._reach[key] = self.can_succeed(state, node)
+            known = reach[state] = self.can_succeed(state, node)
         return known
 
     def _closure(self, state: int) -> tuple[int, ...]:
@@ -322,28 +385,20 @@ def prob_pass(process: t.ProcessTerm, test: Test, theta: Theta, state_bound: int
 
 _ONE = t.Rate.weight(1)
 # <z,*1>.s, the one node that every failure branch of a canonical test leads to
-_FAILURE = t.Prefix(t.FAILURE_NAME, _ONE, t.SUCCESS)
-_FAILURE_STATE = _index(_FAILURE, "reactive", {})
-
-
-def _canonical_step(environment: tuple[str, ...], name: str, continuation: t.ProcessTerm,
-                    failures: dict[str, t.ProcessTerm]) -> t.ProcessTerm:
-    """The choice over the sorted environment that continues on name and
-    takes the failure branch <b,*1>.<z,*1>.s in failures on every other b."""
-    return t.nest_right([t.Prefix(b, _ONE, continuation) if b == name else failures[b]
-                         for b in environment])
+_FAILURE_STATE = _index(t.Prefix(t.FAILURE_NAME, _ONE, t.SUCCESS), "reactive", {})
 
 
 def canonical_tests(names, depth: int) -> Iterator[Test]:
     """Name-deterministic tests with one success path of length <= depth,
-    shortest first, each built when it is consumed.
+    shortest first, each made when it is consumed.
 
     Each step picks a permitted environment set and the single name that
     continues towards success; every other permitted name fails in one
-    step through the reserved name z.  Each layer is kept as the
-    continuations of the next, with their states: a new test indexes
-    only its root, whose prefixes lead to a continuation or to a failure
-    branch, which all tests share.
+    step through the reserved name z.  Each layer is kept as the states
+    of the next layer's continuations.  A new test is made as its root
+    state alone, from its environment, its continuation's state and the
+    state of the failure node <z,*1>.s, which all tests share: it
+    indexes no term, and builds its term only when that is first read.
     """
     if depth < 0:
         raise CalcError(f"test depth must be at least 0, got {depth}")
@@ -359,21 +414,20 @@ def canonical_tests(names, depth: int) -> Iterator[Test]:
     def layers() -> Iterator[Test]:
         test = Test(t.SUCCESS, "reactive")
         yield test
-        failures = {b: t.Prefix(b, _ONE, _FAILURE) for b in universe}
-        layer = {t.SUCCESS: test.root}
+        if not environments:  # no names: s is the only test
+            return
+        layer = [test.root]
         for level in range(1, depth + 1):
-            if not layer:  # no names: s is the only test
-                return
-            previous, layer = layer, {}
-            known = {_FAILURE: _FAILURE_STATE, **previous}
+            previous, layer = layer, []
             for environment in environments:
                 for name in environment:
                     for continuation in previous:
-                        term = _canonical_step(environment, name, continuation, failures)
-                        test = _test_on(term, "reactive", known)
+                        root = TestState(tuple([
+                            (b, _ONE, continuation if b == name else _FAILURE_STATE)
+                            for b in environment]), False, continuation.live)
                         if level < depth:
-                            layer[term] = test.root
-                        yield test
+                            layer.append(root)
+                        yield _test_of(root, "reactive")
 
     return layers()
 
@@ -433,6 +487,6 @@ def flavored_tests(base: Iterable[Test], flavor: str) -> Iterable[Test]:
             for term, known in chain((unedited,), _edited(test.term, test.root, edit)):
                 if term not in seen:
                     seen.add(term)
-                    yield _test_on(term, flavor, known)
+                    yield _test_of(_index(term, flavor, known), flavor)
 
     return variants()

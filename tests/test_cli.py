@@ -49,6 +49,13 @@ def test_eval_test_prints_exact_value(capsys):
     assert code == 0 and out == "1/2 ~ 0.5\n"
 
 
+def test_a_zero_theta_denominator_exits_two(capsys):
+    code, out, err = run(capsys, "eval-test", "-p", "<a,1>.0", "-t", "<a,*1>.s",
+                         "--theta", "1/0")
+    assert code == 2 and out == ""
+    assert err == "error: bad theta '1/0': zero denominator\n"
+
+
 def test_eval_test_errors_exit_two(capsys):
     code, out, err = run(capsys, "eval-test", "-p", "<a,*1>.0",
                          "-t", "s", "--theta", "1")
@@ -173,8 +180,9 @@ def test_gen_tests_refuses_past_the_output_budget(capsys, monkeypatch, names, de
 def test_gen_tests_past_the_output_budget_build_no_test(capsys, monkeypatch):
     # 1,082,401 tests; at depth 30 two names give about 1.5e18
     built = []
-    step = testing._canonical_step
-    monkeypatch.setattr(testing, "_canonical_step", lambda *args: built.append(args) or step(*args))
+    for name in ("_index", "_test_of"):  # a test from its term, a test from its states
+        make = getattr(testing, name)
+        monkeypatch.setattr(testing, name, lambda *args, make=make: built.append(args) or make(*args))
     for names, depth in (("a,b,c,d", "4"), ("a,b", "30")):
         code, out, err = run(capsys, "gen-tests", "-E", names, "--depth", depth)
         assert code == 2 and out == "" and "OUTPUT_BUDGET" in err

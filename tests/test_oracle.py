@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import gc
+import weakref
 from fractions import Fraction
 from random import Random
+from weakref import WeakKeyDictionary
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mpcalc import oracle, terms as t
 from mpcalc.corpus import random_pair, random_pairs, random_term
@@ -13,9 +15,10 @@ from mpcalc.decider import decide_equiv
 from mpcalc.errors import CalcError
 from mpcalc.oracle import (bounded_testing_oracle, old_style_oracle, passing_probability,
                            search_witness, successful_measures)
-from mpcalc.parser import parse_term
+from mpcalc.parser import parse_term, parse_test_body
 from mpcalc.semantics import build_lts
-from mpcalc.testing import canonical_tests, flavored_tests, make_test, prob_pass
+from mpcalc.testing import (InteractionProduct, canonical_tests, flavored_tests, make_test,
+                            prob_pass)
 
 
 def test_distinguishes_timed_internal_moves():
@@ -153,16 +156,70 @@ def test_skipping_tests_neither_side_can_pass_changes_no_answer(seed, flavor, lo
     assert got == _reference_search(lts1, lts2, tests, depth)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(["reactive", "liberal", "tau"]),
+       st.sampled_from([None, 1, 3]))
+@example(9, "liberal", None)  # a node measured both before and after success
+def test_measures_on_a_shared_memo_match_fresh_products(seed, flavor, loop):
+    # a search measures its tests on one product and one memo per side;
+    # each test's measures must be those of a fresh product and memo on
+    # a test indexed afresh from the term read back from its states
+    rng = Random(seed)
+    process = random_term(rng, depth=3, max_states=8)
+    if loop is not None:
+        process = _tau_loop(process, loop)
+    lts = build_lts(process)
+    tests = list(flavored_tests(canonical_tests(["a", "b"], 2), flavor))
+    rng.shuffle(tests)
+    product, memo = InteractionProduct(lts), WeakKeyDictionary()
+    for test in rng.sample(tests, len(tests) // 2):
+        assert (oracle._measures(product, memo, test.root, 3)
+                == successful_measures(lts, make_test(test.term, flavor), 3))
+
+
+def test_the_memos_keep_nothing_of_a_consumed_test():
+    # the memos hold test nodes weakly, so a search's memory stays
+    # bounded: once a test is dropped its entries go, also the step of a
+    # node that a tau move of the process leaves in place
+    lts = build_lts(parse_term("rec X : <tau,1>.X + <a,2>.<b,1>.0"))
+    product, memo = InteractionProduct(lts), WeakKeyDictionary()
+    test = make_test(parse_test_body("<a,*1>.(<b,*1>.s + s)"), "liberal")
+    # a then b; or tau, then a into the successful node
+    assert oracle._measures(product, memo, test.root, 3)[2] == {
+        (Fraction(1, 3), Fraction(1)): Fraction(2, 3),
+        (Fraction(1, 3), Fraction(1, 3)): Fraction(2, 9)}
+    assert len(memo) and len(product._steps) and len(product._reach)
+    del test
+    assert len(memo) == len(product._steps) == len(product._reach) == 0
+
+
+def test_a_search_keeps_no_test_it_has_consumed():
+    # p against itself: no test separates them, so the search takes every
+    # test and measures each liberal variant with s at its root
+    lts = build_lts(parse_term("<a,1>.<b,2>.0 + <tau,1>.<b,1>.0"))
+    roots = []
+
+    def tests():
+        for test in flavored_tests(canonical_tests(["a", "b"], 2), "liberal"):
+            # the search holds the test it took last, and no other
+            assert all(root() is None for root in roots[:-1])
+            roots.append(weakref.ref(test.root))
+            yield test
+
+    assert search_witness(lts, lts, tests(), 2).tests_checked == len(roots) == 75
+
+
 def test_most_tests_of_a_deep_witness_are_skipped(monkeypatch):
     left = parse_term("<c,4/3>.<a,9>.<d,8>.<c,5/3>.0")
     right = parse_term("<c,4/3>.<a,9>.<d,8>.<c,8/3>.0")
     calls = []
-    measures = oracle.successful_measures
-    monkeypatch.setattr(oracle, "successful_measures",
-                        lambda *args: calls.append(args) or measures(*args))
+    measures = oracle._measures
+    monkeypatch.setattr(oracle, "_measures", lambda *args: calls.append(args) or measures(*args))
     verdict = bounded_testing_oracle(left, right, depth=4)
     assert not verdict.equivalent
+    # one call for each side of each measured test
     measured = len(calls) // 2
+    assert len({id(args[2]) for args in calls}) == measured > 0
     assert verdict.tests_checked > 20 * measured
     # the witness carries its whole index, and so does a fresh copy of it
     theta = verdict.witness_theta

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import pickle
 from collections import deque
 from fractions import Fraction
 from random import Random
@@ -59,14 +60,29 @@ def test_a_test_is_checked_when_it_is_made():
         testing.Test(t.SUCCESS, "bogus")
 
 
+def _record_built_terms(monkeypatch):
+    """The states whose term is built from their states, in build order."""
+    built = []
+    term_of = testing._term_of
+    monkeypatch.setattr(testing, "_term_of",
+                        lambda state: (state.term is None and built.append(state)) or term_of(state))
+    return built
+
+
 def test_the_oracle_indexes_each_test_once(monkeypatch):
     calls = []
     index = testing._index
     monkeypatch.setattr(testing, "_index", lambda *args: calls.append(args) or index(*args))
+    built = _record_built_terms(monkeypatch)
     verdict = bounded_testing_oracle(parse_term("<a,1>.<b,1>.0"), parse_term("<a,1>.<b,2>.0"),
                                      depth=2)
-    assert not verdict.equivalent
-    assert len(calls) == verdict.tests_checked > 1
+    assert not verdict.equivalent and verdict.tests_checked > 1
+    # s is indexed from its term; every other test is made from states and
+    # measured on them, and the search builds no term
+    assert len(calls) == 1 and built == []
+    # reading the witness builds its term, and no other
+    assert str(verdict.witness_test) == "<a,*1>.<b,*1>.s"
+    assert built[0] is verdict.witness_test.root and len(built) == 2
 
 
 def test_interaction_synchronizes_on_all_visible_names():
@@ -152,14 +168,19 @@ def test_canonical_tests_shapes():
 
 
 def test_canonical_tests_are_built_as_they_are_consumed(monkeypatch):
-    calls = []
-    step = testing._canonical_step
-    monkeypatch.setattr(testing, "_canonical_step", lambda *args: calls.append(args) or step(*args))
+    built = _record_built_terms(monkeypatch)
     tests = canonical_tests(["a", "b"], 4)
     first = [next(tests) for _ in range(6)]
-    # s, the four depth-1 tests, and the first depth-2 test
-    assert len(calls) == 5
-    assert [str(x) for x in first[:2]] == ["s", "<a,*1>.s"]
+    # s, the four depth-1 tests, and the first depth-2 test: no term yet
+    assert built == []
+    assert [str(x) for x in first] == [
+        "s", "<a,*1>.s", "<b,*1>.s", "<a,*1>.s + <b,*1>.<z,*1>.s",
+        "<a,*1>.<z,*1>.s + <b,*1>.s", "<a,*1>.<a,*1>.s"]
+    # each new root once; the depth-2 test reuses its continuation's term
+    assert built == [x.root for x in first[1:]]
+    assert first[5].term.body is first[1].term
+    # the terms are kept: reading them again builds none
+    assert all(x.term is x.root.term for x in first) and len(built) == 5
 
 
 def test_canonical_tests_reject_reserved_names():
@@ -186,6 +207,10 @@ def test_flavored_tests_pin_the_liberal_and_tau_variants():
     assert (len(liberal), _digest(liberal)) == (75, "d8930b84f696")
     assert (len(timed), _digest(timed)) == (75, "4759c3df1e79")
     assert "liberal <a,*1>.s + <b,*1>.(<z,*1>.s + s)" in {f"{x.flavor} {x}" for x in liberal}
+    # tests compare and hash by term and flavor
+    assert liberal[0] == make_test(t.SUCCESS, "liberal") != base[0]
+    assert hash(liberal[0]) == hash(make_test(t.SUCCESS, "liberal"))
+    assert pickle.loads(pickle.dumps(base[-1])) == base[-1]
     with pytest.raises(ValueError):
         flavored_tests(base, "bogus")
 
@@ -200,10 +225,14 @@ def test_canonical_tests_index_only_their_new_root(monkeypatch):
     index = testing._index
     monkeypatch.setattr(testing, "_index", lambda *args: calls.append(args) or index(*args))
     tests = list(canonical_tests(["a", "b", "c"], 3))
-    assert len(calls) == len(tests) == 1885
-    # the reused states are those a full index of each term finds
-    for test in tests[::7]:
+    # s is indexed from its term; every other test is made from states
+    assert len(calls) == 1 and len(tests) == 1885
+    monkeypatch.undo()
+    # the states are those a full index of each term finds, and the
+    # term built from them prints as one that parses back to it
+    for test in tests:
         assert _shape(test.root) == _shape(testing.Test(test.term, "reactive").root)
+        assert parse_test(str(test)).term == test.term
 
 
 def test_flavored_variants_index_only_their_new_nodes(monkeypatch):
