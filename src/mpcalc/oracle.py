@@ -21,7 +21,7 @@ breakpoint grid.  The oracles run it on the LMTSs they build from the
 terms; the decider runs search_witness on the LMTSs it decided on, to
 turn an inequivalence into a distinguishing (test, theta) pair.  The
 loop skips, without measuring, every test whose success neither
-process can reach (InteractionProduct.can_succeed): its measures are
+process can reach (InteractionProduct.can_pass): its measures are
 empty at every length on both sides and cannot differ.  It measures the
 other tests on the same two products, with one measure memo per side
 for the whole search, held weakly by test node: a continuation that
@@ -132,7 +132,7 @@ def _search(lts1: LMTS, lts2: LMTS, tests: Iterable[Test], max_len: int,
     checked = 0
     for checked, test in enumerate(tests, 1):
         root = test.root
-        if not any(product.can_succeed(0, root) for product in products):
+        if not any(product.can_pass(root) for product in products):
             continue
         found = differ(*[_measures(product, memo, root, max_len)
                          for product, memo in zip(products, memos)])

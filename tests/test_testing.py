@@ -168,11 +168,18 @@ def test_canonical_tests_shapes():
 
 
 def test_canonical_tests_are_built_as_they_are_consumed(monkeypatch):
+    made, tests_of = [], []
+    state, test_of = testing.TestState, testing._test_of
+    monkeypatch.setattr(testing, "TestState", lambda *args: made.append(args) or state(*args))
+    monkeypatch.setattr(testing, "_test_of",
+                        lambda *args: tests_of.append(args) or test_of(*args))
     built = _record_built_terms(monkeypatch)
     tests = canonical_tests(["a", "b"], 4)
     first = [next(tests) for _ in range(6)]
-    # s, the four depth-1 tests, and the first depth-2 test: no term yet
-    assert built == []
+    # s, the four depth-1 tests, and the first depth-2 test: the state of
+    # s and one new root for each of the other five, and no term yet
+    assert len(made) == 6 and len(tests_of) == 5 and built == []
+    assert [args[0] for args in tests_of] == [x.root for x in first[1:]]
     assert [str(x) for x in first] == [
         "s", "<a,*1>.s", "<b,*1>.s", "<a,*1>.s + <b,*1>.<z,*1>.s",
         "<a,*1>.<z,*1>.s + <b,*1>.s", "<a,*1>.<a,*1>.s"]
@@ -329,7 +336,10 @@ def test_can_succeed_matches_a_search_over_the_product(seed, loop, family):
         process = t.Rec("L", t.Choice(t.Prefix(t.TAU, t.Rate(loop), t.Var("L")), process))
     product = testing.InteractionProduct(build_lts(process))
     for test in family:
-        assert product.can_succeed(0, test.root) == _reaches_success(product, test.root)
+        expected = _reaches_success(product, test.root)
+        # the search's skip question stores no answer for the root
+        assert product.can_pass(test.root) == expected and test.root not in product._reach
+        assert product.can_succeed(0, test.root) == expected
 
 
 def test_prob_pass_long_theta_on_tau_loops():
