@@ -1,9 +1,10 @@
 """Exact equivalence decisions via the embedded discrete-time chain.
 
 Each state's outgoing rates become execution probabilities, and the
-transition labels are augmented with the ready set and the total exit
-rate.  Probabilistic language equivalence of the two resulting weighted
-automata is then decided with a basis of at most n1+n2 vectors.
+transition labels are augmented with the source state's rate on each
+name, which gives its ready set and total exit rate.  Probabilistic
+language equivalence of the two resulting weighted automata is then
+decided with a basis of at most n1+n2 vectors.
 """
 
 from mpcalc.decider import decide_equiv, embed, prob_language_equiv
@@ -26,6 +27,18 @@ fast = parse_term("<tau,2>.0")
 slow = parse_term("<tau,1>.0")
 verdict = decide_equiv(fast, slow)
 print("internal race:", "equivalent" if verdict.equivalent else "inequivalent")
+print("  witness word:", " . ".join(str(w) for w in verdict.witness_word))
+print("  witness test:", verdict.witness_test,
+      " theta:", ",".join(str(v) for v in verdict.witness_theta))
+print()
+
+# Both sides offer a and b at exit rate 4 after c, but only the left can
+# go on with a at rate 1 or 3: a test that offers a and blocks b sees it,
+# so each label carries its source's rate on each name.
+mixed = parse_term("<c,1>.(<a,1>.0 + <b,3>.0) + <c,1>.(<a,3>.0 + <b,1>.0)")
+even = parse_term("<c,2>.(<a,2>.0 + <b,2>.0)")
+verdict = decide_equiv(mixed, even)
+print("rates behind one exit rate:", "equivalent" if verdict.equivalent else "inequivalent")
 print("  witness word:", " . ".join(str(w) for w in verdict.witness_word))
 print("  witness test:", verdict.witness_test,
       " theta:", ",".join(str(v) for v in verdict.witness_theta))

@@ -1,11 +1,36 @@
 """Exact decision procedure for testing equivalence.
 
 Each performance-closed process embeds into a finite DTMC whose steps are
-labeled with the action name, the ready set of the source state (timed tau
-included) and the source's total exit rate.  Two processes are testing
-equivalent iff the embeddings assign equal probability to every finite
-word of augmented labels, which a Tzeng-style span computation decides in
-polynomial time with exact arithmetic.
+labeled with the action name and the per-name rate table rho of the
+source state: the total rate of its moves on each name, timed tau
+included, which gives its ready set and exit rate E(rho) too.  Two
+processes are testing equivalent iff the embeddings assign equal
+probability to every finite word of augmented labels, which a
+Tzeng-style span computation decides in polynomial time with exact
+arithmetic.
+
+The table is what a test that blocks names sees.  A reactive test node
+offering the names N races the source's moves on N and on tau, at total
+rate R(rho, N) = rho(tau) + sum over b in N of rho(b), so a step of the
+interaction has probability P_embed(step) * E(rho) / R(rho, N) and mean
+sojourn 1 / R(rho, N).  Ready set and exit rate alone do not fix R:
+
+    <c,1>.(<a,1>.0 + <b,3>.0) + <c,1>.(<a,3>.0 + <b,1>.0)
+    vs. <c,2>.(<a,2>.0 + <b,2>.0)
+
+offer a and b at exit rate 4 after c on both sides, but <c,*1>.<a,*1>.s
+passes them with probabilities 1/2 and 0 within theta (1/2, 1/3).  The
+table is also A4's side condition in the axioms.  A label prints as
+<{a} a @2> when its source offers one name, and with the table, as
+<{a:1,b:3} a @4>, when it offers more.
+
+The same reading fixes which lengths the witness search has to measure.
+A canonical test is name-deterministic, so the node that follows a label
+word is fixed, and the test's measure at length k is a fixed linear
+image of the probabilities of the words of length k.  The span reports
+a shortest differing word, of length L say, so every shorter word has
+equal probability on both sides and no canonical test differs at a
+length below L: decide_equiv measures each test from length L on only.
 
 Two linear functionals are compared along the way: the all-ones vector
 (probability that a run starts with the word) and the terminal vector
@@ -37,20 +62,44 @@ Vector = tuple[Fraction, ...]
 
 @d.dataclass(frozen=True)
 class AugmentedLabel:
-    """One DTMC step: action name, ready set and total exit rate of the
-    source state."""
+    """One DTMC step: action name and the per-name rate table of the
+    source state, (name, total rate of its moves) pairs sorted by name,
+    tau included.  The table gives the source's ready set and total exit
+    rate, and its rate over any set of names that a test offers.  The
+    exit rate and the hash are worked out once, when the label is made."""
 
-    ready: frozenset[str]
     name: str
-    exit_rate: Fraction
+    rates: tuple[tuple[str, Fraction], ...]
+    exit_rate: Fraction = d.field(init=False, repr=False, compare=False)
+    _hash: int = d.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "exit_rate", sum((rate for _, rate in self.rates), Fraction(0)))
+        object.__setattr__(self, "_hash", hash((self.name, self.rates)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes, so unpickling rebuilds
+        return AugmentedLabel, (self.name, self.rates)
+
+    @property
+    def ready(self) -> frozenset[str]:
+        return frozenset(name for name, _ in self.rates)
 
     @property
     def sort_key(self):
-        return (tuple(sorted(self.ready)), self.name, self.exit_rate)
+        return (tuple(name for name, _ in self.rates), self.name, self.exit_rate, self.rates)
 
     def __str__(self) -> str:
-        ready = ",".join(sorted(self.ready))
-        return f"<{{{ready}}} {self.name} @{self.exit_rate}>"
+        """<{a} a @2> when the source offers one name, else with the
+        table: <{a:1,b:3} a @4>."""
+        if len(self.rates) == 1:
+            table = self.name
+        else:
+            table = ",".join(f"{name}:{rate}" for name, rate in self.rates)
+        return f"<{{{table}}} {self.name} @{self.exit_rate}>"
 
 
 @d.dataclass(frozen=True)
@@ -74,12 +123,16 @@ def embed(lts: LMTS) -> WeightedAutomaton:
         if not moves:
             terminal[i] = Fraction(1)
             continue
-        exit_rate = sum((rate for _, rate, _ in moves), Fraction(0))
-        ready = frozenset(name for name, _, _ in moves)
+        table: dict[str, Fraction] = {}
+        for name, rate, _ in moves:
+            table[name] = table[name] + rate if name in table else rate
+        rates = tuple(sorted(table.items()))
+        labels = {name: AugmentedLabel(name, rates) for name in table}
+        exit_rate = labels[moves[0][0]].exit_rate
         for name, rate, j in moves:
-            label = AugmentedLabel(ready, name, exit_rate)
-            row = rows.setdefault(label, {}).setdefault(i, {})
-            row[j] = row.get(j, Fraction(0)) + rate / exit_rate
+            row = rows.setdefault(labels[name], {}).setdefault(i, {})
+            share = rate / exit_rate
+            row[j] = row[j] + share if j in row else share
     matrices = {
         label: {src: tuple(sorted(row.items())) for src, row in by_src.items()}
         for label, by_src in rows.items()
@@ -200,6 +253,12 @@ def prob_language_equiv(a1: WeightedAutomaton, a2: WeightedAutomaton) -> EquivRe
     return EquivReport(True, None, len(basis), dim)
 
 
+# Bounds of decide_equiv's witness search: the depth of the canonical
+# tests it tries and the longest label word it looks for a test of.
+SEARCH_DEPTH = 4
+SEARCH_LENGTH = 6
+
+
 @d.dataclass(frozen=True)
 class Verdict:
     equivalent: bool
@@ -222,17 +281,24 @@ def decide_equiv(
 ) -> Verdict:
     """Decide testing equivalence of two performance-closed processes.
 
-    On inequivalence the label-word witness is translated into a concrete
-    distinguishing (canonical test, theta) pair by the oracle's test
-    search, run on the two LMTSs built here, whenever the word is short
-    enough for the search depth.
+    On inequivalence the label-word witness, of length L, is translated
+    into a concrete distinguishing (canonical test, theta) pair by the
+    oracle's test search over the canonical tests of depth up to
+    max(1, min(L, SEARCH_DEPTH)), run on the two LMTSs built here.  It
+    measures each test from length L up to max(1, L): no canonical test
+    differs at a shorter length (see search_witness).  It is skipped, with
+    no test found, when L exceeds SEARCH_LENGTH, or when both processes
+    are tau-free and L exceeds SEARCH_DEPTH: on a tau-free process a
+    canonical test of depth d has successful computations of length d
+    only, so no test the search may try has mass at length L.
     """
     lts1 = build_lts(p1, state_bound)
     lts2 = build_lts(p2, state_bound)
     for which, lts in (("left", lts1), ("right", lts2)):
         if not lts.performance_closed:
             raise NotPerformanceClosed(f"{which} process is not performance-closed")
-    report = prob_language_equiv(embed(lts1), embed(lts2))
+    a1, a2 = embed(lts1), embed(lts2)
+    report = prob_language_equiv(a1, a2)
     sizes = (len(lts1.states), len(lts2.states))
     if report.equivalent:
         return Verdict(
@@ -243,12 +309,12 @@ def decide_equiv(
         )
     witness_test = None
     witness_theta = None
-    if with_test_witness:
-        word = report.witness_word or ()
-        depth = max(1, min(len(word), 4))
-        max_len = max(1, min(len(word), 6))
-        tests = environment_tests(lts1, lts2, depth)
-        verdict = search_witness(lts1, lts2, tests, max_len)
+    length = len(report.witness_word)
+    if with_test_witness and length <= SEARCH_LENGTH and (
+            length <= SEARCH_DEPTH
+            or any(label.name == t.TAU for auto in (a1, a2) for label in auto.matrices)):
+        tests = environment_tests(lts1, lts2, max(1, min(length, SEARCH_DEPTH)))
+        verdict = search_witness(lts1, lts2, tests, max(1, length), length)
         if not verdict.equivalent:
             witness_test = verdict.witness_test
             witness_theta = verdict.witness_theta

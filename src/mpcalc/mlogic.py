@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 from . import terms as t
 from .computations import Theta, breakpoint_grid, make_theta
 from .decider import embed, prob_language_equiv
-from .errors import NotPerformanceClosed, NotWellFormed, ReservedNameError
+from .errors import CalcError, NotPerformanceClosed, NotWellFormed, ReservedNameError
 from .semantics import build_lts
 
 _ZERO = Fraction(0)
@@ -268,12 +268,34 @@ def eval(process: t.ProcessTerm, theta: Theta, formula: Formula,
     return semantics.value(0, False, semantics.intern(make_theta(theta)), formula)
 
 
+# The most formulas enumerate_formulas makes, and so characterization_check
+# sweeps.  The 676 over two names at depth 3 and 729 over three at depth 2
+# pass, and so do 8,192 over 13 names at depth 1; four names at depth 2
+# make 83,521 (a 48 s sweep of an equivalent pair), three at depth 3
+# 389,017,000.
+FORMULA_BUDGET = 10_000
+
+
+def formula_count(names: int, formula_depth: int) -> int:
+    """How many formulas enumerate_formulas makes over that many names,
+    or FORMULA_BUDGET + 1 if that is more.  With L formulas at one depth,
+    the next has true, n L diamonds and C(n, s) L^s disjunctions of s >= 2
+    distinct heads: 1 + n L + sum_s C(n, s) L^s = (1 + L)^n."""
+    count = 1
+    for _ in range(formula_depth if names else 0):
+        count = (1 + count) ** names
+        if count > FORMULA_BUDGET:
+            return FORMULA_BUDGET + 1
+    return count
+
+
 def enumerate_formulas(names: Iterable[str], formula_depth: int) -> list[Formula]:
     """All formulas over names up to the given diamond depth.
 
     Disjunctions are canonical: right-nested, one diamond per head name,
     heads in sorted order.  Other associations of the same disjunct set
-    are not generated.
+    are not generated.  CalcError is raised, before any is made, when
+    there would be more than FORMULA_BUDGET.
     """
     if formula_depth < 0:
         raise ValueError(f"formula depth must be at least 0, got {formula_depth}")
@@ -282,6 +304,9 @@ def enumerate_formulas(names: Iterable[str], formula_depth: int) -> list[Formula
         raise NotWellFormed("diamond actions must be visible")
     if t.FAILURE_NAME in ordered:
         raise ReservedNameError(f"name {t.FAILURE_NAME!r} is reserved for tests")
+    if formula_count(len(ordered), formula_depth) > FORMULA_BUDGET:
+        raise CalcError(f"{len(ordered)} names at formula depth {formula_depth} make more "
+                        f"than FORMULA_BUDGET ({FORMULA_BUDGET}) formulas")
     levels: list[list[Formula]] = [[TRUE]]
     for level in range(1, formula_depth + 1):
         diamonds = [Diamond(name, body)

@@ -19,7 +19,9 @@ _search is the one test loop.  search_witness runs it with the minimal
 differing vector as its comparison, old_style_oracle with a sweep over a
 breakpoint grid.  The oracles run it on the LMTSs they build from the
 terms; the decider runs search_witness on the LMTSs it decided on, to
-turn an inequivalence into a distinguishing (test, theta) pair.  The
+turn an inequivalence into a distinguishing (test, theta) pair, and
+measures the tests only from the length of its witness word on, below
+which no canonical test can differ (search_witness).  The
 loop skips, without measuring, every test whose success neither
 process can reach (InteractionProduct.can_pass): its measures are
 empty at every length on both sides and cannot differ.  It measures the
@@ -58,11 +60,13 @@ def successful_measures(lts: LMTS, test: Test, max_len: int) -> list[Measure]:
 
 
 def _measures(product: InteractionProduct, memo: MutableMapping, root: TestState,
-              max_len: int) -> list[Measure]:
-    """successful_measures of the test with this root on the product.
-    memo maps a test node to its measures, keyed by (process state, seen,
-    budget); a search shares one across its tests."""
-    return [_measure(product, memo, 0, root, False, length) for length in range(max_len + 1)]
+              max_len: int, min_len: int = 0) -> list[Measure]:
+    """successful_measures of the test with this root on the product,
+    with the lengths below min_len left empty, not measured.  memo maps a
+    test node to its measures, keyed by (process state, seen, budget); a
+    search shares one across its tests."""
+    return [_measure(product, memo, 0, root, False, length) if length >= min_len else {}
+            for length in range(max_len + 1)]
 
 
 def _measure(product: InteractionProduct, memo: MutableMapping, state: int, node: TestState,
@@ -118,13 +122,17 @@ def environment_tests(lts1: LMTS, lts2: LMTS, depth: int) -> Iterator[Test]:
 
 
 def _search(lts1: LMTS, lts2: LMTS, tests: Iterable[Test], max_len: int,
-            differ: Callable[[list[Measure], list[Measure]], tuple | None]) -> OracleVerdict:
+            differ: Callable[[list[Measure], list[Measure]], tuple | None],
+            min_len: int = 0) -> OracleVerdict:
     """The one test loop: run the tests in order against both processes
     and return the first one that differ separates.  differ gets both
-    sides' successful_measures up to max_len and returns (theta, left
-    probability, right probability) or None."""
+    sides' successful_measures up to max_len, the lengths below min_len
+    left empty, and returns (theta, left probability, right probability)
+    or None."""
     if max_len < 0:
         raise CalcError(f"computation length must be at least 0, got {max_len}")
+    if not 0 <= min_len <= max_len:
+        raise CalcError(f"first measured length must be in 0..{max_len}, got {min_len}")
     products = (InteractionProduct(lts1), InteractionProduct(lts2))
     # one measure memo per side for the whole search, held weakly by test
     # node, so that it keeps nothing of a consumed test
@@ -134,7 +142,7 @@ def _search(lts1: LMTS, lts2: LMTS, tests: Iterable[Test], max_len: int,
         root = test.root
         if not any(product.can_pass(root) for product in products):
             continue
-        found = differ(*[_measures(product, memo, root, max_len)
+        found = differ(*[_measures(product, memo, root, max_len, min_len)
                          for product, memo in zip(products, memos)])
         if found is not None:
             theta, left, right = found
@@ -146,6 +154,8 @@ def _first_difference(m1: list[Measure], m2: list[Measure]) -> tuple | None:
     """A minimal differing vector of the shortest length at which the
     measures differ, with both passing probabilities there."""
     for length1, length2 in zip(m1, m2):
+        if length1 == length2:
+            continue
         support = [
             v
             for v in set(length1) | set(length2)
@@ -162,13 +172,26 @@ def _first_difference(m1: list[Measure], m2: list[Measure]) -> tuple | None:
     return None
 
 
-def search_witness(lts1: LMTS, lts2: LMTS, tests: Iterable[Test], max_len: int) -> OracleVerdict:
+def search_witness(lts1: LMTS, lts2: LMTS, tests: Iterable[Test], max_len: int,
+                   min_len: int = 0) -> OracleVerdict:
     """Run the tests in order against both processes and return the first
-    one whose successful-computation measures differ at some length up to
-    max_len, with a minimal differing vector of the shortest such length
-    as theta.  tests_checked counts the tests taken from the iterable,
-    the ones that neither process can pass included."""
-    return _search(lts1, lts2, tests, max_len, _first_difference)
+    one whose successful-computation measures differ at some length from
+    min_len up to max_len, with a minimal differing vector of the shortest
+    such length as theta.  tests_checked counts the tests taken from the
+    iterable, the ones that neither process can pass included.
+
+    Lengths below min_len are not measured.  The decider passes the
+    length L of its shortest differing label word, which is sound for
+    canonical reactive tests: a canonical test's measure at length k is
+    a fixed linear image of the probabilities of the label words of
+    length k, and every shorter word has equal probability on both sides.
+    A step of the product on a label with rate table rho, at a test node
+    offering the names N, has probability P_embed(step) * E(rho) /
+    R(rho, N) and sojourn 1 / R(rho, N), where E(rho) is the exit rate
+    and R(rho, N) = rho(tau) + sum over b in N of rho(b); a canonical
+    test is name-deterministic, so the node that follows a word is fixed.
+    So no canonical test differs at a length below L."""
+    return _search(lts1, lts2, tests, max_len, _first_difference, min_len)
 
 
 def _setup(

@@ -224,17 +224,22 @@ def visible_names(term: ProcessTerm) -> frozenset[str]:
     """
     names: set[str] = set()
     for sub in subterms(term):
-        if isinstance(sub, Prefix) and sub.name != TAU:
-            names.add(sub.name)
-        elif isinstance(sub, Parallel):
-            names |= sub.sync
-        elif isinstance(sub, Hide):
-            names |= sub.hidden
-        elif isinstance(sub, Relabel):
-            for old, new in sub.mapping:
-                names.add(old)
-                names.add(new)
+        names.update(_own_names(sub))
     return frozenset(names)
+
+
+def _own_names(sub: ProcessTerm) -> Sequence[str] | frozenset[str]:
+    """The names that visible_names takes from the node itself, not from
+    its children."""
+    if isinstance(sub, Prefix):
+        return () if sub.name == TAU else (sub.name,)
+    if isinstance(sub, Parallel):
+        return sub.sync
+    if isinstance(sub, Hide):
+        return sub.hidden
+    if isinstance(sub, Relabel):
+        return [name for pair in sub.mapping for name in pair]
+    return ()
 
 
 def uses_failure_name(term: ProcessTerm) -> bool:
@@ -283,12 +288,37 @@ def check_wellformed(term: ProcessTerm) -> WellFormedness:
 
 
 def require_analyzable(term: ProcessTerm, *, allow_failure_name: bool = False) -> None:
-    wf = check_wellformed(term)
-    if not wf.closed:
-        raise NotWellFormed(f"term has free variables {sorted(free_vars(term))}")
-    if not wf.guarded:
+    """Raise NotWellFormed if the term has free variables, else if a
+    recursion variable is unguarded, else ReservedNameError if it uses the
+    name z and that is not allowed.  One walk on an explicit stack finds
+    all three, so a term of any depth is checked."""
+    free: set[str] = set()
+    guarded = True
+    failure = False
+    none: frozenset[str] = frozenset()
+    # (node, variables bound above it, variables bound above it whose
+    # binder no prefix on the path has crossed yet)
+    stack = [(term, none, none)]
+    while stack:
+        sub, bound, pending = stack.pop()
+        if isinstance(sub, Var):
+            if sub.name not in bound:
+                free.add(sub.name)
+            if sub.name in pending:
+                guarded = False
+            continue
+        if isinstance(sub, Prefix):
+            pending = none
+        elif isinstance(sub, Rec):
+            bound, pending = bound | {sub.var}, pending | {sub.var}
+        failure = failure or FAILURE_NAME in _own_names(sub)
+        for child in children(sub):
+            stack.append((child, bound, pending))
+    if free:
+        raise NotWellFormed(f"term has free variables {sorted(free)}")
+    if not guarded:
         raise NotWellFormed("unguarded recursion")
-    if uses_failure_name(term) and not allow_failure_name:
+    if failure and not allow_failure_name:
         raise ReservedNameError(f"name {FAILURE_NAME!r} is reserved for tests")
 
 

@@ -8,13 +8,17 @@ from random import Random
 import pytest
 
 from mpcalc import decider, oracle
+from mpcalc.axioms import axiom_prove
 from mpcalc.corpus import chain_pair, random_pairs, random_term
 from mpcalc.decider import (AugmentedLabel, EquivReport, decide_equiv, embed,
                             prob_language_equiv)
-from mpcalc.errors import NotPerformanceClosed
+from mpcalc.errors import CalcError, NotPerformanceClosed
+from mpcalc.mlogic import characterization_check
+from mpcalc.oracle import (bounded_testing_oracle, environment_tests, search_witness,
+                           successful_measures)
 from mpcalc.parser import parse_term
 from mpcalc.semantics import build_lts
-from mpcalc.testing import prob_pass
+from mpcalc.testing import parse_test, prob_pass
 
 
 def _embed(source):
@@ -24,7 +28,9 @@ def _embed(source):
 def test_embed_single_transition():
     auto = _embed("<a,2>.0")
     (label,) = auto.matrices
-    assert label == AugmentedLabel(frozenset({"a"}), "a", Fraction(2))
+    assert label == AugmentedLabel("a", (("a", Fraction(2)),))
+    assert label.ready == frozenset({"a"}) and label.exit_rate == 2
+    assert str(label) == "<{a} a @2>"
     assert auto.matrices[label] == {0: ((1, Fraction(1)),)}
     assert auto.terminal == (Fraction(0), Fraction(1))
 
@@ -40,6 +46,8 @@ def test_embed_execution_probabilities():
     label_b, rows_b = by_name["b"]
     assert label_a.ready == label_b.ready == frozenset({"a", "b"})
     assert label_a.exit_rate == label_b.exit_rate == 5
+    assert label_a.rates == label_b.rates == (("a", 2), ("b", 3))
+    assert str(label_b) == "<{a:2,b:3} b @5>"
     assert rows_a == {0: ((1, Fraction(2, 5)),)}
     assert rows_b == {0: ((1, Fraction(3, 5)),)}
 
@@ -234,3 +242,131 @@ def test_moderate_chain_decides_quickly():
     verdict = decide_equiv(left, right, with_test_witness=False)
     assert time.monotonic() - start < 2.0
     assert not verdict.equivalent
+
+
+# After c both sides offer a and b at total rate 4, but the left goes on
+# with a at rate 1 or 3 and the right at rate 2: a test that offers a
+# and blocks b sees the difference, one that compares ready sets and
+# exit rates only does not.
+MIXTURE = ("<c,1>.(<a,1>.0 + <b,3>.0) + <c,1>.(<a,3>.0 + <b,1>.0)",
+           "<c,2>.(<a,2>.0 + <b,2>.0)")
+MIXTURE_TWIN = ("<c,1>.(<a,1>.<d,1>.0 + <b,3>.0) + <c,1>.(<a,3>.<d,1>.0 + <b,1>.0)",
+                "<c,2>.(<a,2>.<d,2>.0 + <b,2>.0)")
+
+
+@pytest.mark.parametrize("pair", [MIXTURE, MIXTURE_TWIN])
+def test_labels_carry_the_rates_a_test_that_blocks_names_sees(pair):
+    left, right = map(parse_term, pair)
+    verdict = decide_equiv(left, right)
+    assert not verdict.equivalent
+    assert [str(label) for label in verdict.witness_word] == ["<{c} c @2>", "<{a:1,b:3} a @4>"]
+    test = parse_test("<c,*1>.<a,*1>.s")
+    assert verdict.witness_test == test
+    assert verdict.witness_theta == (Fraction(1, 2), Fraction(1, 3))
+    found = bounded_testing_oracle(left, right, depth=2)
+    assert (found.witness_test, found.witness_theta, found.prob_left, found.prob_right) == (
+        test, (Fraction(1, 2), Fraction(1, 3)), Fraction(1, 2), 0)
+    theta = (Fraction(1), Fraction(1, 2))
+    assert (prob_pass(left, test, theta), prob_pass(right, test, theta)) == (Fraction(1, 2), 1)
+    proof = axiom_prove(left, right)
+    assert not proof.proved and not proof.decider_equivalent
+
+
+def test_the_modal_sweep_separates_the_mixture():
+    left, right = map(parse_term, MIXTURE)
+    report = characterization_check(left, right, formula_depth=2, grid_cap=3, max_theta_len=2)
+    assert not report.consistent and not report.decider_equivalent
+    assert not report.theorem_violation
+    # the twin's four names make 83,521 formulas at depth 2
+    with pytest.raises(CalcError, match="FORMULA_BUDGET"):
+        characterization_check(*map(parse_term, MIXTURE_TWIN), formula_depth=2)
+
+
+def _mixture_pair(rng):
+    """<c,r>.B1 + <c,r>.B2 against <c,2r>.B.  B1 and B2 offer the same
+    names at the same exit rate, split differently, into the same
+    continuations, and B offers each name at the mean of their rates:
+    every state offers the same ready sets at the same exit rates on both
+    sides, but a test that blocks some of B's names tells them apart."""
+    names = rng.sample(["a", "b", "d"], rng.randint(2, 3))
+    rates = rng.sample(range(1, 7), len(names))
+    shifted = rates[1:] + rates[:1]
+    tails = [rng.choice(["0", "<a,1>.0", "<d,2>.0", "<b,1>.<a,3>.0"]) for _ in names]
+
+    def body(weights):
+        return " + ".join(f"<{name},{w}>.{tail}" for name, w, tail in zip(names, weights, tails))
+
+    rate = rng.choice([Fraction(1), Fraction(1, 2), Fraction(3)])
+    mean = [Fraction(x + y, 2) for x, y in zip(rates, shifted)]
+    return (parse_term(f"<c,{rate}>.({body(rates)}) + <c,{rate}>.({body(shifted)})"),
+            parse_term(f"<c,{2 * rate}>.({body(mean)})"))
+
+
+def test_mixture_pairs_are_separated_as_the_oracle_separates_them():
+    rng = Random(30)
+    for _ in range(25):
+        left, right = _mixture_pair(rng)
+        verdict = decide_equiv(left, right)
+        assert not verdict.equivalent
+        assert not bounded_testing_oracle(left, right, depth=2).equivalent
+        test, theta = verdict.witness_test, verdict.witness_theta
+        assert prob_pass(left, test, theta) != prob_pass(right, test, theta)
+
+
+@pytest.fixture(scope="module")
+def inequivalent_pairs():
+    """The inequivalent corpus200 pairs of the acceptance tests and 25
+    mixture pairs, each with its LMTSs and the decider's verdict."""
+    pairs = [(sample.left, sample.right)
+             for sample in random_pairs(Random(200), 200, depth=3, max_states=8)]
+    rng = Random(31)
+    pairs += [_mixture_pair(rng) for _ in range(25)]
+    out = []
+    for left, right in pairs:
+        verdict = decide_equiv(left, right)
+        if not verdict.equivalent:
+            out.append((build_lts(left), build_lts(right), verdict))
+    return out
+
+
+def test_no_canonical_test_differs_below_the_witness_word(inequivalent_pairs):
+    # why the decider's search measures at the word's length only
+    checked = 0
+    for lts1, lts2, verdict in inequivalent_pairs:
+        length = len(verdict.witness_word)
+        if length == 0:
+            continue
+        for test in environment_tests(lts1, lts2, min(length, 3)):
+            assert (successful_measures(lts1, test, length - 1)
+                    == successful_measures(lts2, test, length - 1))
+            checked += 1
+    assert checked > 10000
+
+
+def test_the_decider_finds_what_a_search_of_every_length_finds(inequivalent_pairs):
+    found = 0
+    for lts1, lts2, verdict in inequivalent_pairs:
+        length = len(verdict.witness_word)
+        tests = environment_tests(lts1, lts2, max(1, min(length, 4)))
+        full = search_witness(lts1, lts2, tests, max(1, min(length, 6)))
+        assert (verdict.witness_test, verdict.witness_theta) == (
+            full.witness_test, full.witness_theta)
+        found += full.witness_test is not None
+    assert found > 100
+
+
+def test_the_search_is_skipped_when_no_test_can_reach_the_word(monkeypatch):
+    searched = []
+    monkeypatch.setattr(decider, "search_witness",
+                        lambda *args: searched.append(args) or search_witness(*args))
+    # tau-free, a 5-label word: every test of depth 4 stops before it
+    verdict = decide_equiv(parse_term("<a,1>.<b,1>.<a,1>.<b,1>.<a,1>.0"),
+                           parse_term("<a,1>.<b,1>.<a,1>.<b,1>.<a,2>.0"))
+    assert len(verdict.witness_word) == 5 and verdict.witness_test is None
+    assert searched == []
+    # a tau step lets a depth-4 test reach length 5
+    verdict = decide_equiv(parse_term("<tau,1>.<a,1>.<b,1>.<a,1>.<b,1>.0"),
+                           parse_term("<tau,1>.<a,1>.<b,1>.<a,1>.<b,2>.0"))
+    assert len(verdict.witness_word) == 5 and verdict.witness_test is not None
+    (args,) = searched
+    assert args[3:] == (5, 5)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pickle
 import sys
+import time
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mpcalc import mlogic as ml
 from mpcalc.corpus import random_pair, random_term
-from mpcalc.errors import NotPerformanceClosed, NotWellFormed, ReservedNameError
+from mpcalc.errors import CalcError, NotPerformanceClosed, NotWellFormed, ReservedNameError
 from mpcalc.parser import parse_formula, parse_term
 from mpcalc.rates import EXPONENTIAL, rate_o
 from mpcalc.testing import make_test, prob_pass
@@ -121,6 +122,30 @@ def test_formula_enumeration_counts():
     for depth in (-1, -5):
         with pytest.raises(ValueError):
             ml.enumerate_formulas(("a", "b"), depth)
+
+
+def test_formula_count_follows_the_enumeration():
+    for names in ((), ("a",), ("a", "b"), ("a", "b", "c")):
+        for depth in range(4 if len(names) < 3 else 3):
+            assert ml.formula_count(len(names), depth) == len(
+                ml.enumerate_formulas(names, depth))
+    assert ml.formula_count(3, 2) == 729
+    assert ml.formula_count(13, 1) == 8192
+    for names, depth in ((3, 3), (4, 2), (2, 4), (14, 1), (1, ml.FORMULA_BUDGET), (3, 10**6)):
+        assert ml.formula_count(names, depth) == ml.FORMULA_BUDGET + 1
+    assert ml.formula_count(0, 10**9) == 1
+
+
+def test_a_sweep_past_the_formula_budget_is_refused_at_once():
+    # three names at depth 3 would enumerate 389,017,000 formulas
+    left = parse_term("<c,1>.(<a,1>.0 + <b,3>.0) + <c,1>.(<a,3>.0 + <b,1>.0)")
+    right = parse_term("<c,2>.(<a,2>.0 + <b,2>.0)")
+    start = time.monotonic()
+    with pytest.raises(CalcError, match="FORMULA_BUDGET"):
+        ml.characterization_check(left, right)
+    with pytest.raises(CalcError, match="FORMULA_BUDGET"):
+        ml.enumerate_formulas(("a", "b", "c"), 3)
+    assert time.monotonic() - start < 1.0
 
 
 @settings(max_examples=50, deadline=None)

@@ -104,6 +104,17 @@ def test_negative_lengths_are_rejected():
     assert not search_witness(lts1, lts2, canonical_tests(["a"], 1), 1).equivalent
 
 
+def test_a_search_measures_no_length_below_its_first():
+    lts1, lts2 = build_lts(parse_term("<a,1>.<b,1>.0")), build_lts(parse_term("<a,2>.<b,1>.0"))
+    full = search_witness(lts1, lts2, canonical_tests(["a", "b"], 2), 2)
+    assert str(full.witness_test) == "<a,*1>.s" and len(full.witness_theta) == 1
+    later = search_witness(lts1, lts2, canonical_tests(["a", "b"], 2), 2, 2)
+    assert str(later.witness_test) == "<a,*1>.<b,*1>.s" and len(later.witness_theta) == 2
+    for min_len in (-1, 3):
+        with pytest.raises(CalcError):
+            search_witness(lts1, lts2, canonical_tests(["a"], 1), 2, min_len)
+
+
 def _minimal_difference(m1, m2):
     support = [v for v in set(m1) | set(m2) if m1.get(v, 0) != m2.get(v, 0)]
     minimal = [v for v in support

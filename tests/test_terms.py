@@ -8,7 +8,7 @@ import pytest
 
 from mpcalc import terms as t
 from mpcalc.corpus import random_term
-from mpcalc.errors import NotWellFormed
+from mpcalc.errors import NotWellFormed, ReservedNameError
 from mpcalc.parser import parse_term
 
 
@@ -64,6 +64,58 @@ def test_require_analyzable_reserves_failure_name():
     with pytest.raises(Exception):
         t.require_analyzable(bad)
     t.require_analyzable(bad, allow_failure_name=True)
+
+
+def _reference_require_analyzable(term, allow_failure_name):
+    """require_analyzable as three walks: closedness, guardedness, z."""
+    wf = t.check_wellformed(term)
+    if not wf.closed:
+        return NotWellFormed, f"term has free variables {sorted(t.free_vars(term))}"
+    if not wf.guarded:
+        return NotWellFormed, "unguarded recursion"
+    if t.uses_failure_name(term) and not allow_failure_name:
+        return ReservedNameError, "name 'z' is reserved for tests"
+    return None
+
+
+def _raised(term, allow_failure_name):
+    try:
+        t.require_analyzable(term, allow_failure_name=allow_failure_name)
+    except (NotWellFormed, ReservedNameError) as error:
+        return type(error), str(error)
+    return None
+
+
+def test_require_analyzable_raises_the_first_of_its_errors_in_one_walk():
+    x, y = t.Var("X"), t.Var("Y")
+
+    def a(body):
+        return t.Prefix("a", t.Rate(1), body)
+
+    def z(body):
+        return t.Prefix("z", t.Rate(1), body)
+
+    terms = [
+        x, t.Rec("X", x), t.Rec("X", a(x)), t.Rec("X", t.Choice(x, y)),
+        t.Choice(z(t.NIL), y), t.Rec("X", t.Choice(z(t.NIL), x)),
+        t.Rec("X", t.Rec("Y", t.Choice(a(x), y))), t.Rec("X", t.Rec("X", a(x))),
+        t.Rec("X", t.Choice(t.Rec("X", x), a(x))), t.Choice(t.Rec("Y", a(y)), t.Choice(y, x)),
+        t.Hide(frozenset({"z"}), t.NIL), t.Parallel(frozenset({"z"}), a(t.NIL), t.NIL),
+        t.Relabel((("b", "z"),), t.NIL), t.Rec("X", t.Hide(frozenset({"b"}), a(x))),
+    ]
+    rng = Random(6)
+    terms += [random_term(rng, names=("a", "z"), depth=4, max_states=20) for _ in range(50)]
+    outcomes = set()
+    for term in terms:
+        for allow in (False, True):
+            outcome = _raised(term, allow)
+            assert outcome == _reference_require_analyzable(term, allow)
+            outcomes.add(outcome and outcome[1])
+    assert {None, "unguarded recursion", "name 'z' is reserved for tests"} <= outcomes
+    chain = t.Prefix("z", t.Rate(1), t.NIL)
+    for i in range(5000):
+        chain = t.Prefix("ab"[i % 2], t.Rate(1), chain)
+    assert _raised(chain, False) == (ReservedNameError, "name 'z' is reserved for tests")
 
 
 def test_alpha_normalize_identifies_bound_renamings():
