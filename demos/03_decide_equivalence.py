@@ -1,10 +1,11 @@
 """Exact equivalence decisions via the embedded discrete-time chain.
 
-Each state's outgoing rates become execution probabilities, and the
-transition labels are augmented with the source state's rate on each
-name, which gives its ready set and total exit rate.  Probabilistic
-language equivalence of the two resulting weighted automata is then
-decided with a basis of at most n1+n2 vectors.
+Each step becomes one label for each set of names a reactive test may
+offer: the set, the action name, and the rate at which the source's
+moves on the set and on tau race, with the step's share of that rate as
+its weight.  Probabilistic language equivalence of the two resulting
+weighted automata is then decided with a basis of at most n1+n2 vectors
+for each part of the span.
 """
 
 from mpcalc.decider import decide_equiv, embed, prob_language_equiv
@@ -34,7 +35,7 @@ print()
 
 # Both sides offer a and b at exit rate 4 after c, but only the left can
 # go on with a at rate 1 or 3: a test that offers a and blocks b sees it,
-# so each label carries its source's rate on each name.
+# so each label carries the set of names the test offers.
 mixed = parse_term("<c,1>.(<a,1>.0 + <b,3>.0) + <c,1>.(<a,3>.0 + <b,1>.0)")
 even = parse_term("<c,2>.(<a,2>.0 + <b,2>.0)")
 verdict = decide_equiv(mixed, even)

@@ -11,7 +11,7 @@ from .axioms import (LAW_IDS, ProveReport, RewriteStep, apply_law, axiom_prove,
 from .computations import (enumerate_computations, filter_le_theta, filter_len,
                            make_theta, prob, prob_set, time_a)
 from .decider import (AugmentedLabel, EquivReport, Verdict, WeightedAutomaton,
-                      decide_equiv, embed, prob_language_equiv)
+                      decide_equiv, embed, embed_pair, prob_language_equiv)
 from .errors import (CalcError, DependentComputations, LawError,
                      NotPerformanceClosed, NotWellFormed, ParseError,
                      RateValueError, ReservedNameError, StateBoundExceeded)

@@ -46,7 +46,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import terms as t
-from .decider import embed, prob_language_equiv
+from .decider import embed_pair, prob_language_equiv
 from .errors import CalcError, LawError, NotPerformanceClosed, NotWellFormed, StateBoundExceeded
 from .semantics import Entry, build_lts, compose_parallel
 
@@ -507,6 +507,6 @@ def axiom_prove(
     n2, steps = engine.normalize(p2, state_bound)
     trace2 = _trace(steps)
     proved = n1 == n2
-    decided = proved or prob_language_equiv(embed(build_lts(p1, state_bound)),
-                                            embed(build_lts(p2, state_bound))).equivalent
+    decided = proved or prob_language_equiv(*embed_pair(build_lts(p1, state_bound),
+                                                        build_lts(p2, state_bound))).equivalent
     return ProveReport(proved, n1, n2, tuple(trace1), tuple(trace2), decided)

@@ -1,34 +1,48 @@
 """Exact decision procedure for testing equivalence.
 
-Each performance-closed process embeds into a finite DTMC whose steps are
-labeled with the action name and the per-name rate table rho of the
-source state: the total rate of its moves on each name, timed tau
-included, which gives its ready set and exit rate E(rho) too.  Two
-processes are testing equivalent iff the embeddings assign equal
-probability to every finite word of augmented labels, which a
-Tzeng-style span computation decides in polynomial time with exact
-arithmetic.
+Each performance-closed process embeds into a finite weighted automaton
+whose letters are the steps of the process as a reactive test node sees
+them.  A node that offers the names E races the source state's moves on
+E and on tau, at total rate R(rho, E) = rho(tau) + sum over b in E of
+rho(b), where rho is the source's per-name rate table; the moves on
+other names are blocked.  So a move on a name a in E, or on tau, is the
+letter (E, a, R(rho, E)) with weight rate / R(rho, E), and has mean
+sojourn 1 / R(rho, E).  E ranges over the sets of names visible in
+either process, the empty set included: that is the success state s,
+under which only tau moves.  A tau move leaves the node where it is, so
+the letter after a tau letter offers the same set; the span below keeps
+to such words.  decide_equiv calls two processes equivalent iff the
+embeddings assign equal probability to every such word, which a
+Tzeng-style span computation decides with exact arithmetic, in time
+polynomial in the state counts and exponential in the number of visible
+names, whose subsets the offered sets are.  Every reactive test's measure is a
+linear image of these probabilities, so equal words give equal tests;
+the converse is cross-checked against the bounded testing oracle.
 
-The table is what a test that blocks names sees.  A reactive test node
-offering the names N races the source's moves on N and on tau, at total
-rate R(rho, N) = rho(tau) + sum over b in N of rho(b), so a step of the
-interaction has probability P_embed(step) * E(rho) / R(rho, N) and mean
-sojourn 1 / R(rho, N).  Ready set and exit rate alone do not fix R:
+Ready set and exit rate alone do not fix what a test sees:
 
     <c,1>.(<a,1>.0 + <b,3>.0) + <c,1>.(<a,3>.0 + <b,1>.0)
     vs. <c,2>.(<a,2>.0 + <b,2>.0)
 
 offer a and b at exit rate 4 after c on both sides, but <c,*1>.<a,*1>.s
-passes them with probabilities 1/2 and 0 within theta (1/2, 1/3).  The
-table is also A4's side condition in the axioms.  A label prints as
-<{a} a @2> when its source offers one name, and with the table, as
-<{a:1,b:3} a @4>, when it offers more.
+passes them with probabilities 1/2 and 0 within theta (1/2, 1/3), and
+the letter <{a} a @1> has probability 1/2 and 0 after <{c} c @2>.  The
+whole rate table is more than a reactive test sees: a pair can differ
+in the joint law of rho(a) and rho(b) after c, and still agree in the
+law of rho(a), of rho(b) and of rho(a) + rho(b), and in the a-weight at
+each exit rate; then no reactive test tells them apart and the letters
+above agree.  A tau test whose node races a timed tau beside passive
+names, <a,*1>.T + <tau,1>.T', reads the joint law and does tell them
+apart; the flavored tests of the testing module never put a timed tau
+beside a passive summand, and this procedure decides the equivalence of
+the reactive tests.  A letter prints as <{a,b} a @4>: the offered set,
+the name, and R; a tau letter shows tau in its set, as <{b,tau} tau @2>.
 
 The same reading fixes which lengths the witness search has to measure.
-A canonical test is name-deterministic, so the node that follows a label
-word is fixed, and the test's measure at length k is a fixed linear
-image of the probabilities of the words of length k.  The span reports
-a shortest differing word, of length L say, so every shorter word has
+A canonical test is name-deterministic, so the node that follows a word
+is fixed, and the test's measure at length k is a fixed linear image of
+the probabilities of the words of length k.  The span reports a
+shortest differing word, of length L say, so every shorter word has
 equal probability on both sides and no canonical test differs at a
 length below L: decide_equiv measures each test from length L on only.
 
@@ -43,13 +57,18 @@ that differ only in non-terminating behavior, such as
 where every word has terminal mass 0 on both sides yet the b-word
 probabilities differ.  Terminal mass is kept because it makes the
 empty-word difference (one side stops, the other does not) immediate.
+It is read only where the test may offer every name next: after a tau
+letter, a process that stops and one that offers only names the locked
+set blocks look the same to the test.
 """
 
 from __future__ import annotations
 
 import dataclasses as d
 from collections import deque
+from collections.abc import Iterable
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 from . import terms as t
@@ -62,44 +81,26 @@ Vector = tuple[Fraction, ...]
 
 @d.dataclass(frozen=True)
 class AugmentedLabel:
-    """One DTMC step: action name and the per-name rate table of the
-    source state, (name, total rate of its moves) pairs sorted by name,
-    tau included.  The table gives the source's ready set and total exit
-    rate, and its rate over any set of names that a test offers.  The
-    exit rate and the hash are worked out once, when the label is made."""
+    """One step as a reactive test node sees it: the sorted names the
+    node offers, the action name (one of them, or tau), and the rate R at
+    which the source's moves on the offered names and on tau race."""
 
+    offered: tuple[str, ...]
     name: str
-    rates: tuple[tuple[str, Fraction], ...]
-    exit_rate: Fraction = d.field(init=False, repr=False, compare=False)
-    _hash: int = d.field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exit_rate", sum((rate for _, rate in self.rates), Fraction(0)))
-        object.__setattr__(self, "_hash", hash((self.name, self.rates)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes, so unpickling rebuilds
-        return AugmentedLabel, (self.name, self.rates)
+    rate: Fraction
 
     @property
-    def ready(self) -> frozenset[str]:
-        return frozenset(name for name, _ in self.rates)
+    def shown(self) -> tuple[str, ...]:
+        """The offered names, with tau for a tau step."""
+        return tuple(sorted(self.offered + (t.TAU,))) if self.name == t.TAU else self.offered
 
     @property
     def sort_key(self):
-        return (tuple(name for name, _ in self.rates), self.name, self.exit_rate, self.rates)
+        # smaller sets first, so a word keeps to the names it needs
+        return (len(self.shown), self.shown, self.name, self.rate)
 
     def __str__(self) -> str:
-        """<{a} a @2> when the source offers one name, else with the
-        table: <{a:1,b:3} a @4>."""
-        if len(self.rates) == 1:
-            table = self.name
-        else:
-            table = ",".join(f"{name}:{rate}" for name, rate in self.rates)
-        return f"<{{{table}}} {self.name} @{self.exit_rate}>"
+        return f"<{{{','.join(self.shown)}}} {self.name} @{self.rate}>"
 
 
 @d.dataclass(frozen=True)
@@ -107,14 +108,24 @@ class WeightedAutomaton:
     size: int
     init: Vector
     terminal: Vector
-    # label -> source -> ((target, probability), ...)
+    # label -> source -> ((target, weight), ...)
     matrices: dict[AugmentedLabel, dict[int, tuple[tuple[int, Fraction], ...]]]
+    # the names a test may offer: the offered sets of the labels are its subsets
+    names: tuple[str, ...] = ()
 
 
-def embed(lts: LMTS) -> WeightedAutomaton:
-    """Embedded DTMC of a performance-closed LMTS."""
+def embed(lts: LMTS, names: Iterable[str] = ()) -> WeightedAutomaton:
+    """The weighted automaton of a performance-closed LMTS as reactive
+    tests over its visible names and the given ones see it: from each
+    state, for each set E of those names, each move on a name in E or on
+    tau is the label (E, name, R) with weight rate / R, where R is the
+    state's total rate on E and tau; a set on which the state cannot move
+    gives no label."""
     if not lts.performance_closed:
         raise NotPerformanceClosed("embedding requires a performance-closed process")
+    universe = tuple(sorted(lts.visible_names() | set(names)))
+    offers = [offered for size in range(len(universe) + 1)
+              for offered in combinations(universe, size)]
     n = len(lts.states)
     init = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))
     terminal = [Fraction(0)] * n
@@ -126,18 +137,26 @@ def embed(lts: LMTS) -> WeightedAutomaton:
         table: dict[str, Fraction] = {}
         for name, rate, _ in moves:
             table[name] = table[name] + rate if name in table else rate
-        rates = tuple(sorted(table.items()))
-        labels = {name: AugmentedLabel(name, rates) for name in table}
-        exit_rate = labels[moves[0][0]].exit_rate
-        for name, rate, j in moves:
-            row = rows.setdefault(labels[name], {}).setdefault(i, {})
-            share = rate / exit_rate
-            row[j] = row[j] + share if j in row else share
+        for offered in offers:
+            race = sum((table[name] for name in offered if name in table), table.get(t.TAU, 0))
+            if not race:
+                continue
+            for name, rate, j in moves:
+                if name == t.TAU or name in offered:
+                    row = rows.setdefault(AugmentedLabel(offered, name, race), {}).setdefault(i, {})
+                    share = rate / race
+                    row[j] = row[j] + share if j in row else share
     matrices = {
         label: {src: tuple(sorted(row.items())) for src, row in by_src.items()}
         for label, by_src in rows.items()
     }
-    return WeightedAutomaton(n, init, tuple(terminal), matrices)
+    return WeightedAutomaton(n, init, tuple(terminal), matrices, universe)
+
+
+def embed_pair(lts1: LMTS, lts2: LMTS) -> tuple[WeightedAutomaton, WeightedAutomaton]:
+    """Both LMTSs embedded over the names visible in either."""
+    names = lts1.visible_names() | lts2.visible_names()
+    return embed(lts1, names), embed(lts2, names)
 
 
 @d.dataclass(frozen=True)
@@ -178,38 +197,57 @@ def _integer_rows(a1: WeightedAutomaton, a2: WeightedAutomaton,
 
 
 def prob_language_equiv(a1: WeightedAutomaton, a2: WeightedAutomaton) -> EquivReport:
-    """Decide whether the two automata give every augmented-label word the
-    same probability.  Returns a shortest differing word otherwise.
+    """Decide whether the two automata, embedded over the same names, give
+    every word that a reactive test can read the same probability: every
+    word in which a tau label is followed by a label of the same offered
+    set.  Returns a shortest differing word otherwise.
+
+    The span runs over the joint state space of both automata once for
+    the free words, which end in a visible label or are empty, and once
+    for each offered set E of a tau label, for the words that end in a
+    tau label offering E: from there only labels offering E go on.  Each
+    part has its own basis; dimension counts every part.
 
     The vector reached by a word w is an integer vector with no common
     factor, a nonzero multiple of the exact product init * M_w.  Both
     functionals are zero tests and the span of a set of vectors does not
     change when one is scaled, so every test here answers as it would on
     the exact products: a functional violation translates directly into
-    the witness word.  The echelon basis of the vectors' residuals, built
+    the witness word.  The echelon basis of each part's residuals, built
     by fraction-free row reduction, only bounds the exploration, which
-    therefore adds at most size1 + size2 vectors.
+    therefore adds at most size1 + size2 vectors to each part.
     """
+    if a1.names != a2.names:
+        raise ValueError(f"automata embedded over different names: {a1.names} and {a2.names}")
     dim = a1.size + a2.size
     labels = sorted(
         set(a1.matrices) | set(a2.matrices), key=lambda label: label.sort_key
     )
     steps = _integer_rows(a1, a2, labels)
+    # part None holds the free words, part E the words that end in a tau
+    # label offering E; a step's part is the one its label leads to
+    parts: dict[tuple[str, ...] | None, list] = {None: [
+        (label, label.offered if label.name == t.TAU else None, rows)
+        for label, rows in steps]}
+    for _, part, _ in parts[None]:
+        if part is not None and part not in parts:
+            parts[part] = [step for step in parts[None] if step[0].offered == part]
+    dimension = dim * len(parts)
     # Sign convention: the difference lives in the start vector, so both
     # functionals are applied unsigned.
     v0 = _integers(list(a1.init) + [-x for x in a2.init])
     f_term = _integers(list(a1.terminal) + list(a2.terminal))
 
-    def violates(v: list[int]) -> bool:
+    def violates(v: list[int], part) -> bool:
         if sum(v) != 0:
             return True
-        return sum(x * w for x, w in zip(v, f_term)) != 0
+        return part is None and sum(x * w for x, w in zip(v, f_term)) != 0
 
-    # pivot -> basis vector with no common factor whose first nonzero
-    # entry is at the pivot
-    basis: dict[int, list[int]] = {}
+    # part -> pivot -> basis vector with no common factor whose first
+    # nonzero entry is at the pivot
+    bases: dict[tuple[str, ...] | None, dict[int, list[int]]] = {part: {} for part in parts}
 
-    def insert(v: list[int]) -> bool:
+    def insert(v: list[int], basis: dict[int, list[int]]) -> bool:
         """Add the residual of v to the basis; False when v is in its span."""
         r = v
         for pivot in sorted(basis):
@@ -225,14 +263,17 @@ def prob_language_equiv(a1: WeightedAutomaton, a2: WeightedAutomaton) -> EquivRe
                 return True
         return False
 
-    queue: deque[tuple[list[int], tuple[AugmentedLabel, ...]]] = deque()
-    if violates(v0):
-        return EquivReport(False, (), 0, dim)
-    if insert(v0):
-        queue.append((v0, ()))
+    def basis_size() -> int:
+        return sum(len(basis) for basis in bases.values())
+
+    queue: deque[tuple[tuple[str, ...] | None, list[int], tuple[AugmentedLabel, ...]]] = deque()
+    if violates(v0, None):
+        return EquivReport(False, (), 0, dimension)
+    if insert(v0, bases[None]):
+        queue.append((None, v0, ()))
     while queue:
-        vector, word = queue.popleft()
-        for label, rows in steps:
+        part, vector, word = queue.popleft()
+        for label, target, rows in parts[part]:
             out = [0] * dim
             for src, row in rows:
                 value = vector[src]
@@ -242,15 +283,15 @@ def prob_language_equiv(a1: WeightedAutomaton, a2: WeightedAutomaton) -> EquivRe
             if not any(out):
                 continue
             extended = word + (label,)
-            if violates(out):
-                return EquivReport(False, extended, len(basis), dim)
+            if violates(out, target):
+                return EquivReport(False, extended, basis_size(), dimension)
             g = gcd(*out)
             if g > 1:
                 out = [x // g for x in out]
-            if insert(out):
-                queue.append((out, extended))
-    assert len(basis) <= dim
-    return EquivReport(True, None, len(basis), dim)
+            if insert(out, bases[target]):
+                queue.append((target, out, extended))
+    assert all(len(basis) <= dim for basis in bases.values())
+    return EquivReport(True, None, basis_size(), dimension)
 
 
 # Bounds of decide_equiv's witness search: the depth of the canonical
@@ -297,7 +338,7 @@ def decide_equiv(
     for which, lts in (("left", lts1), ("right", lts2)):
         if not lts.performance_closed:
             raise NotPerformanceClosed(f"{which} process is not performance-closed")
-    a1, a2 = embed(lts1), embed(lts2)
+    a1, a2 = embed_pair(lts1, lts2)
     report = prob_language_equiv(a1, a2)
     sizes = (len(lts1.states), len(lts2.states))
     if report.equivalent:

@@ -47,7 +47,7 @@ from typing import Iterable, Sequence
 
 from . import terms as t
 from .computations import Theta, breakpoint_grid, make_theta
-from .decider import embed, prob_language_equiv
+from .decider import embed_pair, prob_language_equiv
 from .errors import CalcError, NotPerformanceClosed, NotWellFormed, ReservedNameError
 from .semantics import build_lts
 
@@ -434,7 +434,7 @@ def characterization_check(p1: t.ProcessTerm, p2: t.ProcessTerm, *,
               for theta in (make_theta(combo)
                             for size in range(length + 1)
                             for combo in cartesian(values, repeat=size))]
-    equivalent = prob_language_equiv(embed(left.lts), embed(right.lts)).equivalent
+    equivalent = prob_language_equiv(*embed_pair(left.lts, right.lts)).equivalent
 
     firsts, total = _sweep(tuple(names), formula_depth, length)
     for checked, formula in firsts:

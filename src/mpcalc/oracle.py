@@ -185,12 +185,13 @@ def search_witness(lts1: LMTS, lts2: LMTS, tests: Iterable[Test], max_len: int,
     canonical reactive tests: a canonical test's measure at length k is
     a fixed linear image of the probabilities of the label words of
     length k, and every shorter word has equal probability on both sides.
-    A step of the product on a label with rate table rho, at a test node
-    offering the names N, has probability P_embed(step) * E(rho) /
-    R(rho, N) and sojourn 1 / R(rho, N), where E(rho) is the exit rate
-    and R(rho, N) = rho(tau) + sum over b in N of rho(b); a canonical
-    test is name-deterministic, so the node that follows a word is fixed.
-    So no canonical test differs at a length below L."""
+    A step of the product from a process state with per-name rate table
+    rho, at a test node offering the names E, is the decider's label
+    (E, name, R(rho, E)): it has probability rate / R(rho, E) and
+    sojourn 1 / R(rho, E), where R(rho, E) = rho(tau) + sum over b in E
+    of rho(b), and a tau step keeps the node.  A canonical test is
+    name-deterministic, so the node that follows a word is fixed.  So no
+    canonical test differs at a length below L."""
     return _search(lts1, lts2, tests, max_len, _first_difference, min_len)
 
 

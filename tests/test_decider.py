@@ -10,7 +10,8 @@ import pytest
 from mpcalc import decider, oracle
 from mpcalc.axioms import axiom_prove
 from mpcalc.corpus import chain_pair, random_pairs, random_term
-from mpcalc.decider import (AugmentedLabel, EquivReport, decide_equiv, embed,
+from mpcalc import terms as t
+from mpcalc.decider import (AugmentedLabel, EquivReport, decide_equiv, embed, embed_pair,
                             prob_language_equiv)
 from mpcalc.errors import CalcError, NotPerformanceClosed
 from mpcalc.mlogic import characterization_check
@@ -28,8 +29,7 @@ def _embed(source):
 def test_embed_single_transition():
     auto = _embed("<a,2>.0")
     (label,) = auto.matrices
-    assert label == AugmentedLabel("a", (("a", Fraction(2)),))
-    assert label.ready == frozenset({"a"}) and label.exit_rate == 2
+    assert label == AugmentedLabel(("a",), "a", Fraction(2))
     assert str(label) == "<{a} a @2>"
     assert auto.matrices[label] == {0: ((1, Fraction(1)),)}
     assert auto.terminal == (Fraction(0), Fraction(1))
@@ -40,16 +40,31 @@ def test_embed_folds_multiplicity_into_the_exit_rate():
 
 
 def test_embed_execution_probabilities():
+    # one label per offered set and name: the offered names race, the
+    # others are blocked
     auto = _embed("<a,2>.0 + <b,3>.0")
-    by_name = {label.name: (label, rows) for label, rows in auto.matrices.items()}
-    label_a, rows_a = by_name["a"]
-    label_b, rows_b = by_name["b"]
-    assert label_a.ready == label_b.ready == frozenset({"a", "b"})
-    assert label_a.exit_rate == label_b.exit_rate == 5
-    assert label_a.rates == label_b.rates == (("a", 2), ("b", 3))
-    assert str(label_b) == "<{a:2,b:3} b @5>"
-    assert rows_a == {0: ((1, Fraction(2, 5)),)}
-    assert rows_b == {0: ((1, Fraction(3, 5)),)}
+    assert {str(label): rows for label, rows in auto.matrices.items()} == {
+        "<{a} a @2>": {0: ((1, Fraction(1)),)},
+        "<{b} b @3>": {0: ((1, Fraction(1)),)},
+        "<{a,b} a @5>": {0: ((1, Fraction(2, 5)),)},
+        "<{a,b} b @5>": {0: ((1, Fraction(3, 5)),)},
+    }
+
+
+def test_embed_offers_the_names_of_the_other_side_and_tau_under_every_set():
+    lts = build_lts(parse_term("<tau,1>.0 + <a,3>.0"))
+    auto = embed(lts, {"b"})
+    assert auto.names == ("a", "b")
+    assert {str(label): rows for label, rows in auto.matrices.items()} == {
+        "<{tau} tau @1>": {0: ((1, Fraction(1)),)},
+        "<{a,tau} tau @4>": {0: ((1, Fraction(1, 4)),)},
+        "<{a} a @4>": {0: ((1, Fraction(3, 4)),)},
+        "<{b,tau} tau @1>": {0: ((1, Fraction(1)),)},
+        "<{a,b,tau} tau @4>": {0: ((1, Fraction(1, 4)),)},
+        "<{a,b} a @4>": {0: ((1, Fraction(3, 4)),)},
+    }
+    with pytest.raises(ValueError, match="different names"):
+        prob_language_equiv(auto, embed(lts))
 
 
 def test_embed_rejects_passive_transitions():
@@ -68,25 +83,28 @@ def test_language_equiv_one_letter_witness():
     report = prob_language_equiv(_embed("<tau,2>.0"), _embed("<tau,1>.0"))
     assert not report.equivalent
     (letter,) = report.witness_word
-    assert letter.name == "tau" and letter.ready == frozenset({"tau"})
-    # exit rates 1 and 2 name disjoint alphabets, so one letter suffices
-    assert letter.exit_rate in (Fraction(1), Fraction(2))
+    assert letter.name == "tau" and letter.offered == ()
+    # rates 1 and 2 name disjoint alphabets, so one letter suffices
+    assert str(letter) in ("<{tau} tau @1>", "<{tau} tau @2>")
 
 
 def _dense_fraction_span(a1, a2):
     """Reference: the span on exact Fraction vectors init * M_w, with a
-    normalized echelon basis; prob_language_equiv must agree with it."""
+    normalized echelon basis per part (free words, or words that end in a
+    tau label offering E); prob_language_equiv must agree with it."""
     dim = a1.size + a2.size
     labels = sorted(set(a1.matrices) | set(a2.matrices), key=lambda label: label.sort_key)
+    parts = [None] + sorted({label.offered for label in labels if label.name == t.TAU})
     v0 = list(a1.init) + [-x for x in a2.init]
     f_term = list(a1.terminal) + list(a2.terminal)
 
-    def violates(v):
-        return sum(v) != 0 or sum(x * w for x, w in zip(v, f_term)) != 0
+    def violates(v, part):
+        return sum(v) != 0 or part is None and sum(x * w for x, w in zip(v, f_term)) != 0
 
-    basis = {}
+    bases = {part: {} for part in parts}
 
-    def insert(v):
+    def insert(v, part):
+        basis = bases[part]
         r = list(v)
         for pivot in sorted(basis):
             if r[pivot]:
@@ -98,12 +116,19 @@ def _dense_fraction_span(a1, a2):
                 return True
         return False
 
-    if violates(v0):
-        return EquivReport(False, (), 0, dim)
-    queue = deque([(v0, ())]) if insert(v0) else deque()
+    def size():
+        return sum(len(basis) for basis in bases.values())
+
+    dimension = dim * len(parts)
+    if violates(v0, None):
+        return EquivReport(False, (), 0, dimension)
+    queue = deque([(None, v0, ())]) if insert(v0, None) else deque()
     while queue:
-        vector, word = queue.popleft()
+        part, vector, word = queue.popleft()
         for label in labels:
+            if part is not None and label.offered != part:
+                continue
+            target = label.offered if label.name == t.TAU else None
             out = [Fraction(0)] * dim
             for shift, auto in ((0, a1), (a1.size, a2)):
                 for src, row in auto.matrices.get(label, {}).items():
@@ -111,15 +136,15 @@ def _dense_fraction_span(a1, a2):
                         out[shift + tgt] += vector[shift + src] * p
             if not any(out):
                 continue
-            if violates(out):
-                return EquivReport(False, word + (label,), len(basis), dim)
-            if insert(out):
-                queue.append((out, word + (label,)))
-    return EquivReport(True, None, len(basis), dim)
+            if violates(out, target):
+                return EquivReport(False, word + (label,), size(), dimension)
+            if insert(out, target):
+                queue.append((target, out, word + (label,)))
+    return EquivReport(True, None, size(), dimension)
 
 
 def _same_as_reference(left, right):
-    a1, a2 = embed(build_lts(left)), embed(build_lts(right))
+    a1, a2 = embed_pair(build_lts(left), build_lts(right))
     report = prob_language_equiv(a1, a2)
     assert report == _dense_fraction_span(a1, a2)
     return report
@@ -216,7 +241,12 @@ def test_basis_never_exceeds_state_count_sum():
     for sample in random_pairs(rng, 30, depth=3, max_states=10):
         verdict = decide_equiv(sample.left, sample.right, with_test_witness=False)
         n1, n2 = verdict.state_counts
-        assert verdict.basis_size <= verdict.dimension == n1 + n2
+        # one part for the free words and one for each offered set of a
+        # tau label, each over the n1 + n2 states and with its own basis
+        a1, a2 = embed_pair(build_lts(sample.left), build_lts(sample.right))
+        locks = {label.offered for auto in (a1, a2) for label in auto.matrices
+                 if label.name == t.TAU}
+        assert verdict.basis_size <= verdict.dimension == (n1 + n2) * (1 + len(locks))
 
 
 def test_equivalence_relation_properties():
@@ -255,11 +285,11 @@ MIXTURE_TWIN = ("<c,1>.(<a,1>.<d,1>.0 + <b,3>.0) + <c,1>.(<a,3>.<d,1>.0 + <b,1>.
 
 
 @pytest.mark.parametrize("pair", [MIXTURE, MIXTURE_TWIN])
-def test_labels_carry_the_rates_a_test_that_blocks_names_sees(pair):
+def test_labels_carry_the_set_a_test_offers(pair):
     left, right = map(parse_term, pair)
     verdict = decide_equiv(left, right)
     assert not verdict.equivalent
-    assert [str(label) for label in verdict.witness_word] == ["<{c} c @2>", "<{a:1,b:3} a @4>"]
+    assert [str(label) for label in verdict.witness_word] == ["<{c} c @2>", "<{a} a @1>"]
     test = parse_test("<c,*1>.<a,*1>.s")
     assert verdict.witness_test == test
     assert verdict.witness_theta == (Fraction(1, 2), Fraction(1, 3))
@@ -272,14 +302,66 @@ def test_labels_carry_the_rates_a_test_that_blocks_names_sees(pair):
     assert not proof.proved and not proof.decider_equivalent
 
 
-def test_the_modal_sweep_separates_the_mixture():
-    left, right = map(parse_term, MIXTURE)
+# After c the sides differ in the joint law of the rates of a and b, but
+# not in the law of either rate, of their sum, or of a's weight at each
+# exit rate, which is all that a reactive test reads there.
+JOINT = ("<c,2>.(<a,2>.0 + <b,2>.0) + <c,1>.(<a,1>.0 + <b,4>.0)"
+         " + <c,2>.(<a,3>.0 + <b,3>.0) + <c,1>.(<a,4>.0 + <b,1>.0)",
+         " + ".join(f"<c,1>.(<a,{x}>.0 + <b,{y}>.0)"
+                    for x, y in ((1, 3), (3, 2), (2, 4), (3, 1), (2, 3), (4, 2))))
+
+
+def test_labels_carry_no_more_than_a_reactive_test_reads():
+    left, right = map(parse_term, JOINT)
+    verdict = decide_equiv(left, right)
+    assert verdict.equivalent
+    for flavor in ("reactive", "liberal", "tau"):
+        assert bounded_testing_oracle(left, right, depth=2, flavor=flavor).equivalent
     report = characterization_check(left, right, formula_depth=2, grid_cap=3, max_theta_len=2)
-    assert not report.consistent and not report.decider_equivalent
-    assert not report.theorem_violation
-    # the twin's four names make 83,521 formulas at depth 2
-    with pytest.raises(CalcError, match="FORMULA_BUDGET"):
-        characterization_check(*map(parse_term, MIXTURE_TWIN), formula_depth=2)
+    assert report.consistent and report.decider_equivalent
+    assert axiom_prove(left, right).decider_equivalent
+    # A timed tau beside a passive summand reads the joint law; the
+    # flavored tests never race one against passive names, and the
+    # decider decides the equivalence of the reactive tests.
+    racing = parse_test("<c,*1>.(<a,*1>.<z,*1>.s + <tau,1>.<b,*1>.s)", "tau")
+    theta = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
+    assert (prob_pass(left, racing, theta), prob_pass(right, racing, theta)) == (
+        Fraction(7, 36), Fraction(67, 360))
+
+
+def _word_probability(auto, word):
+    """Probability that a run of the automaton starts with the word."""
+    vector = dict(enumerate(auto.init))
+    for label in word:
+        out = {}
+        for src, row in auto.matrices.get(label, {}).items():
+            for tgt, p in row:
+                out[tgt] = out.get(tgt, 0) + vector.get(src, 0) * p
+        vector = out
+    return sum(vector.values())
+
+
+# After c, the left goes on from one of two states that race tau against
+# a or against b, the right from the same two states with their tau
+# bodies swapped.  A test that offers a and not b tells the two states
+# apart by their rates, but then sees only a after the tau; a test that
+# offers both sees both names after the tau, but from the two states
+# mixed.
+def test_a_tau_label_is_followed_by_a_label_of_its_offered_set():
+    left = parse_term("<c,1>.(<tau,1/2>.(<a,1>.0 + <b,1>.0) + <tau,1/2>.(<a,2>.0 + <b,2>.0)"
+                      " + <a,1>.0) + <c,1>.(<tau,1/2>.(<a,1>.0 + <b,2>.0)"
+                      " + <tau,1/2>.(<a,2>.0 + <b,1>.0) + <b,1>.0)")
+    right = parse_term("<c,1>.(<tau,1/2>.(<a,1>.0 + <b,2>.0) + <tau,1/2>.(<a,2>.0 + <b,1>.0)"
+                       " + <a,1>.0) + <c,1>.(<tau,1/2>.(<a,1>.0 + <b,1>.0)"
+                       " + <tau,1/2>.(<a,2>.0 + <b,2>.0) + <b,1>.0)")
+    verdict = decide_equiv(left, right)
+    assert verdict.equivalent
+    assert bounded_testing_oracle(left, right, depth=3).equivalent
+    # a word that no test reads: a tau under {a}, then a under {a,b}
+    a1, a2 = embed_pair(build_lts(left), build_lts(right))
+    word = (AugmentedLabel(("c",), "c", Fraction(2)), AugmentedLabel(("a",), t.TAU, Fraction(1)),
+            AugmentedLabel(("a", "b"), "a", Fraction(2)))
+    assert _word_probability(a1, word) != _word_probability(a2, word)
 
 
 def _mixture_pair(rng):
