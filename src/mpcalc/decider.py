@@ -13,11 +13,22 @@ under which only tau moves.  A tau move leaves the node where it is, so
 the letter after a tau letter offers the same set; the span below keeps
 to such words.  decide_equiv calls two processes equivalent iff the
 embeddings assign equal probability to every such word, which a
-Tzeng-style span computation decides with exact arithmetic, in time
-polynomial in the state counts and exponential in the number of visible
-names, whose subsets the offered sets are.  Every reactive test's measure is a
-linear image of these probabilities, so equal words give equal tests;
-the converse is cross-checked against the bounded testing oracle.
+Tzeng-style span computation decides with exact arithmetic.  Every
+reactive test's measure is a linear image of these probabilities, so
+equal words give equal tests; the converse is cross-checked against the
+bounded testing oracle.
+
+Only part of E shows in a letter.  A move on a reads E only through the
+names that its source offers, and every state that offers a offers
+names from the scope of a: the names that some state of either process
+offers together with a.  So E and E' that agree on that scope give the
+same letter, which keeps E's part in the scope.  A tau letter keeps the
+part of E in the scope of tau, the names offered where tau moves start
+or end; after it, the move on b that the same node takes starts where a
+tau move ended, so its letter keeps the names of both scopes that E
+holds.  The letters per state are exponential in the size of a scope,
+not of the whole name set; the time is polynomial in the state counts
+for scopes of bounded size.
 
 Ready set and exit rate alone do not fix what a test sees:
 
@@ -66,7 +77,6 @@ from __future__ import annotations
 
 import dataclasses as d
 from collections import deque
-from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -103,6 +113,10 @@ class AugmentedLabel:
         return f"<{{{','.join(self.shown)}}} {self.name} @{self.rate}>"
 
 
+# name -> the names that the letters of its moves may offer, sorted
+Scope = dict[str, tuple[str, ...]]
+
+
 @d.dataclass(frozen=True)
 class WeightedAutomaton:
     size: int
@@ -110,22 +124,39 @@ class WeightedAutomaton:
     terminal: Vector
     # label -> source -> ((target, weight), ...)
     matrices: dict[AugmentedLabel, dict[int, tuple[tuple[int, Fraction], ...]]]
-    # the names a test may offer: the offered sets of the labels are its subsets
-    names: tuple[str, ...] = ()
+    scope: Scope = d.field(default_factory=dict)
 
 
-def embed(lts: LMTS, names: Iterable[str] = ()) -> WeightedAutomaton:
+def scope_of(*ltss: LMTS) -> Scope:
+    """The scope of each name moved on in the LMTSs: for a visible name,
+    the names that some state offers together with it; for tau, the
+    names offered by the states that a tau move leaves or enters."""
+    scope: dict[str, set[str]] = {}
+    for lts in ltss:
+        ready = [{name for name, _, _ in moves if name != t.TAU} for moves in lts.moves]
+        for i, moves in enumerate(lts.moves):
+            for name, _, j in moves:
+                names = scope.setdefault(name, set())
+                names |= ready[i]
+                if name == t.TAU:
+                    names |= ready[j]
+    return {name: tuple(sorted(names)) for name, names in scope.items()}
+
+
+def embed(lts: LMTS, scope: Scope | None = None) -> WeightedAutomaton:
     """The weighted automaton of a performance-closed LMTS as reactive
-    tests over its visible names and the given ones see it: from each
-    state, for each set E of those names, each move on a name in E or on
-    tau is the label (E, name, R) with weight rate / R, where R is the
-    state's total rate on E and tau; a set on which the state cannot move
-    gives no label."""
+    tests see it: from each state, each move on a name, visible or tau,
+    is the label (E, name, R) with weight rate / R, for each subset E of
+    the name's scope that holds a visible name; R is the state's total
+    rate on E and tau.  The scope defaults to the LMTS's own."""
     if not lts.performance_closed:
         raise NotPerformanceClosed("embedding requires a performance-closed process")
-    universe = tuple(sorted(lts.visible_names() | set(names)))
-    offers = [offered for size in range(len(universe) + 1)
-              for offered in combinations(universe, size)]
+    if scope is None:
+        scope = scope_of(lts)
+    offers = {name: [offered for size in range(len(names) + 1)
+                     for offered in combinations(names, size)
+                     if name == t.TAU or name in offered]
+              for name, names in scope.items()}
     n = len(lts.states)
     init = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))
     terminal = [Fraction(0)] * n
@@ -137,26 +168,24 @@ def embed(lts: LMTS, names: Iterable[str] = ()) -> WeightedAutomaton:
         table: dict[str, Fraction] = {}
         for name, rate, _ in moves:
             table[name] = table[name] + rate if name in table else rate
-        for offered in offers:
-            race = sum((table[name] for name in offered if name in table), table.get(t.TAU, 0))
-            if not race:
-                continue
-            for name, rate, j in moves:
-                if name == t.TAU or name in offered:
-                    row = rows.setdefault(AugmentedLabel(offered, name, race), {}).setdefault(i, {})
-                    share = rate / race
-                    row[j] = row[j] + share if j in row else share
+        tau = table.get(t.TAU, 0)
+        for name, rate, j in moves:
+            for offered in offers[name]:
+                race = sum((table[b] for b in offered if b in table), tau)
+                row = rows.setdefault(AugmentedLabel(offered, name, race), {}).setdefault(i, {})
+                share = rate / race
+                row[j] = row[j] + share if j in row else share
     matrices = {
         label: {src: tuple(sorted(row.items())) for src, row in by_src.items()}
         for label, by_src in rows.items()
     }
-    return WeightedAutomaton(n, init, tuple(terminal), matrices, universe)
+    return WeightedAutomaton(n, init, tuple(terminal), matrices, scope)
 
 
 def embed_pair(lts1: LMTS, lts2: LMTS) -> tuple[WeightedAutomaton, WeightedAutomaton]:
-    """Both LMTSs embedded over the names visible in either."""
-    names = lts1.visible_names() | lts2.visible_names()
-    return embed(lts1, names), embed(lts2, names)
+    """Both LMTSs embedded over the scope of both."""
+    scope = scope_of(lts1, lts2)
+    return embed(lts1, scope), embed(lts2, scope)
 
 
 @d.dataclass(frozen=True)
@@ -197,16 +226,18 @@ def _integer_rows(a1: WeightedAutomaton, a2: WeightedAutomaton,
 
 
 def prob_language_equiv(a1: WeightedAutomaton, a2: WeightedAutomaton) -> EquivReport:
-    """Decide whether the two automata, embedded over the same names, give
+    """Decide whether the two automata, embedded over the same scope, give
     every word that a reactive test can read the same probability: every
-    word in which a tau label is followed by a label of the same offered
-    set.  Returns a shortest differing word otherwise.
+    word in which a tau label is followed by a label that the same test
+    node gives.  Returns a shortest differing word otherwise.
 
     The span runs over the joint state space of both automata once for
     the free words, which end in a visible label or are empty, and once
     for each offered set E of a tau label, for the words that end in a
-    tau label offering E: from there only labels offering E go on.  Each
-    part has its own basis; dimension counts every part.
+    tau label offering E: from there only the tau labels offering E and
+    the labels of the names b in E offering the part of E in the scope
+    of b go on.  Each part has its own basis; dimension counts every
+    part.
 
     The vector reached by a word w is an integer vector with no common
     factor, a nonzero multiple of the exact product init * M_w.  Both
@@ -217,8 +248,8 @@ def prob_language_equiv(a1: WeightedAutomaton, a2: WeightedAutomaton) -> EquivRe
     by fraction-free row reduction, only bounds the exploration, which
     therefore adds at most size1 + size2 vectors to each part.
     """
-    if a1.names != a2.names:
-        raise ValueError(f"automata embedded over different names: {a1.names} and {a2.names}")
+    if a1.scope != a2.scope:
+        raise ValueError(f"automata embedded over different scopes: {a1.scope} and {a2.scope}")
     dim = a1.size + a2.size
     labels = sorted(
         set(a1.matrices) | set(a2.matrices), key=lambda label: label.sort_key
@@ -231,7 +262,10 @@ def prob_language_equiv(a1: WeightedAutomaton, a2: WeightedAutomaton) -> EquivRe
         for label, rows in steps]}
     for _, part, _ in parts[None]:
         if part is not None and part not in parts:
-            parts[part] = [step for step in parts[None] if step[0].offered == part]
+            node = {(t.TAU, part)} | {
+                (name, tuple(b for b in part if b in a1.scope[name])) for name in part}
+            parts[part] = [step for step in parts[None]
+                           if (step[0].name, step[0].offered) in node]
     dimension = dim * len(parts)
     # Sign convention: the difference lives in the start vector, so both
     # functionals are applied unsigned.

@@ -3,16 +3,17 @@ from __future__ import annotations
 import time
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
 
 from mpcalc import decider, oracle
+from mpcalc import terms as t
 from mpcalc.axioms import axiom_prove
 from mpcalc.corpus import chain_pair, random_pairs, random_term
-from mpcalc import terms as t
-from mpcalc.decider import (AugmentedLabel, EquivReport, decide_equiv, embed, embed_pair,
-                            prob_language_equiv)
+from mpcalc.decider import (AugmentedLabel, EquivReport, WeightedAutomaton, decide_equiv,
+                            embed, embed_pair, prob_language_equiv)
 from mpcalc.errors import CalcError, NotPerformanceClosed
 from mpcalc.mlogic import characterization_check
 from mpcalc.oracle import (bounded_testing_oracle, environment_tests, search_witness,
@@ -51,19 +52,20 @@ def test_embed_execution_probabilities():
     }
 
 
-def test_embed_offers_the_names_of_the_other_side_and_tau_under_every_set():
+def test_embed_offers_the_names_a_state_offers_with_the_step():
+    # a is offered with b on the other side, so a's labels offer a or a
+    # and b; tau starts where a is offered and ends where nothing is
     lts = build_lts(parse_term("<tau,1>.0 + <a,3>.0"))
-    auto = embed(lts, {"b"})
-    assert auto.names == ("a", "b")
+    auto, other = embed_pair(lts, build_lts(parse_term("<a,1>.0 + <b,1>.<c,1>.0")))
+    assert auto.scope == other.scope == {"a": ("a", "b"), "b": ("a", "b"), "c": ("c",),
+                                         "tau": ("a",)}
     assert {str(label): rows for label, rows in auto.matrices.items()} == {
         "<{tau} tau @1>": {0: ((1, Fraction(1)),)},
         "<{a,tau} tau @4>": {0: ((1, Fraction(1, 4)),)},
         "<{a} a @4>": {0: ((1, Fraction(3, 4)),)},
-        "<{b,tau} tau @1>": {0: ((1, Fraction(1)),)},
-        "<{a,b,tau} tau @4>": {0: ((1, Fraction(1, 4)),)},
         "<{a,b} a @4>": {0: ((1, Fraction(3, 4)),)},
     }
-    with pytest.raises(ValueError, match="different names"):
+    with pytest.raises(ValueError, match="different scopes"):
         prob_language_equiv(auto, embed(lts))
 
 
@@ -88,10 +90,20 @@ def test_language_equiv_one_letter_witness():
     assert str(letter) in ("<{tau} tau @1>", "<{tau} tau @2>")
 
 
-def _dense_fraction_span(a1, a2):
+def _same_node(label, part, scope):
+    """Whether the label may follow a tau label offering part: a tau
+    label offering part, or a label of a name in part offering the part
+    of part in the name's scope."""
+    if label.name == t.TAU:
+        return label.offered == part
+    return label.name in part and label.offered == tuple(b for b in part if b in scope[label.name])
+
+
+def _dense_fraction_span(a1, a2, follows=_same_node):
     """Reference: the span on exact Fraction vectors init * M_w, with a
     normalized echelon basis per part (free words, or words that end in a
-    tau label offering E); prob_language_equiv must agree with it."""
+    tau label offering E, after which only the labels that follows allows
+    go on); prob_language_equiv must agree with it."""
     dim = a1.size + a2.size
     labels = sorted(set(a1.matrices) | set(a2.matrices), key=lambda label: label.sort_key)
     parts = [None] + sorted({label.offered for label in labels if label.name == t.TAU})
@@ -126,7 +138,7 @@ def _dense_fraction_span(a1, a2):
     while queue:
         part, vector, word = queue.popleft()
         for label in labels:
-            if part is not None and label.offered != part:
+            if part is not None and not follows(label, part, a1.scope):
                 continue
             target = label.offered if label.name == t.TAU else None
             out = [Fraction(0)] * dim
@@ -148,6 +160,49 @@ def _same_as_reference(left, right):
     report = prob_language_equiv(a1, a2)
     assert report == _dense_fraction_span(a1, a2)
     return report
+
+
+def _power_set_embed(lts, names):
+    """Reference: a label for every move under every subset E of names,
+    as a test node that offers E sees it, with no scope."""
+    n = len(lts.states)
+    rows = {}
+    for i, moves in enumerate(lts.moves):
+        table = {}
+        for name, rate, _ in moves:
+            table[name] = table.get(name, 0) + rate
+        for size in range(len(names) + 1):
+            for offered in combinations(names, size):
+                race = table.get(t.TAU, 0) + sum(table.get(b, 0) for b in offered)
+                for name, rate, j in moves:
+                    if name == t.TAU or name in offered:
+                        label = AugmentedLabel(offered, name, race)
+                        row = rows.setdefault(label, {}).setdefault(i, {})
+                        row[j] = row.get(j, 0) + rate / race
+    matrices = {label: {src: tuple(sorted(row.items())) for src, row in by_src.items()}
+                for label, by_src in rows.items()}
+    init = tuple(Fraction(int(i == 0)) for i in range(n))
+    terminal = tuple(Fraction(int(not moves)) for moves in lts.moves)
+    return WeightedAutomaton(n, init, terminal, matrices)
+
+
+def test_scopes_decide_as_every_offered_set_does():
+    # a tau label offering E is followed by the labels offering E itself
+    def follows(label, part, scope):
+        return label.offered == part
+
+    checked = 0
+    for sample in random_pairs(Random(25), 80, depth=3, max_states=8):
+        lts1, lts2 = build_lts(sample.left), build_lts(sample.right)
+        names = tuple(sorted(lts1.visible_names() | lts2.visible_names()))
+        full = _dense_fraction_span(_power_set_embed(lts1, names), _power_set_embed(lts2, names),
+                                    follows)
+        report = prob_language_equiv(*embed_pair(lts1, lts2))
+        assert report.equivalent == full.equivalent
+        if not full.equivalent:
+            assert len(report.witness_word) == len(full.witness_word)
+        checked += any(label.name == t.TAU for label in full.witness_word or ())
+    assert checked > 5
 
 
 def test_integer_span_matches_the_fraction_span_on_corpus_pairs():
@@ -302,6 +357,26 @@ def test_labels_carry_the_set_a_test_offers(pair):
     assert not proof.proved and not proof.decider_equivalent
 
 
+def test_the_modal_sweep_separates_the_mixture():
+    left, right = map(parse_term, MIXTURE)
+    report = characterization_check(left, right, formula_depth=2, grid_cap=3, max_theta_len=2)
+    assert not report.consistent and not report.decider_equivalent
+    assert not report.theorem_violation
+    # the twin's four names make 83,521 formulas at depth 2
+    with pytest.raises(CalcError, match="FORMULA_BUDGET"):
+        characterization_check(*map(parse_term, MIXTURE_TWIN), formula_depth=2)
+
+
+def test_labels_read_the_sum_of_the_rates_a_node_offers():
+    # after c, a and b have the same laws on both sides, their sum not
+    left = parse_term("<c,1>.(<a,1>.0 + <b,1>.0) + <c,1>.(<a,2>.0 + <b,2>.0)")
+    right = parse_term("<c,1>.(<a,1>.0 + <b,2>.0) + <c,1>.(<a,2>.0 + <b,1>.0)")
+    verdict = decide_equiv(left, right)
+    assert [str(label) for label in verdict.witness_word] == ["<{c} c @2>", "<{a,b} a @2>"]
+    test, theta = verdict.witness_test, verdict.witness_theta
+    assert prob_pass(left, test, theta) != prob_pass(right, test, theta)
+
+
 # After c the sides differ in the joint law of the rates of a and b, but
 # not in the law of either rate, of their sum, or of a's weight at each
 # exit rate, which is all that a reactive test reads there.
@@ -362,6 +437,23 @@ def test_a_tau_label_is_followed_by_a_label_of_its_offered_set():
     word = (AugmentedLabel(("c",), "c", Fraction(2)), AugmentedLabel(("a",), t.TAU, Fraction(1)),
             AugmentedLabel(("a", "b"), "a", Fraction(2)))
     assert _word_probability(a1, word) != _word_probability(a2, word)
+
+
+# After d, a tau races c at rate 1 or 3 and leads to b at the same rate
+# on the left, at the other rate on the right.  Only a test that offers
+# b and c after d times the tau by both, and then reads b, whose scope
+# holds b alone.
+def test_a_step_after_a_tau_label_keeps_its_scope_of_the_offered_set():
+    pair = "<d,1>.(<c,1>.0 + <tau,1>.<b,{}>.0) + <d,1>.(<c,3>.0 + <tau,1>.<b,{}>.0)"
+    left, right = parse_term(pair.format(1, 3)), parse_term(pair.format(3, 1))
+    verdict = decide_equiv(left, right)
+    assert [str(label) for label in verdict.witness_word] == [
+        "<{d} d @2>", "<{b,c,tau} tau @2>", "<{b} b @1>"]
+    test = parse_test("<d,*1>.(<b,*1>.s + <c,*1>.<z,*1>.s)")
+    theta = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 3))
+    assert (verdict.witness_test, verdict.witness_theta) == (test, theta)
+    assert (prob_pass(left, test, theta), prob_pass(right, test, theta)) == (Fraction(1, 8), 0)
+    assert bounded_testing_oracle(left, right, depth=3).witness_test == test
 
 
 def _mixture_pair(rng):
