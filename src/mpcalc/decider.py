@@ -10,8 +10,8 @@ letter (E, a, R(rho, E)) with weight rate / R(rho, E), and has mean
 sojourn 1 / R(rho, E).  E ranges over the sets of names visible in
 either process, the empty set included: that is the success state s,
 under which only tau moves.  A tau move leaves the node where it is, so
-the letter after a tau letter offers the same set; the span below keeps
-to such words.  decide_equiv calls two processes equivalent iff the
+the letter after a tau letter is one that the same node gives; the span
+below keeps to such words.  decide_equiv calls two processes equivalent iff the
 embeddings assign equal probability to every such word, which a
 Tzeng-style span computation decides with exact arithmetic.  Every
 reactive test's measure is a linear image of these probabilities, so
