@@ -29,7 +29,8 @@ other tests on the same two products, with one measure memo per side
 for the whole search, held weakly by test node: a continuation that
 many canonical tests share is measured once, and the entries of a
 consumed test go with its nodes.  The loop reads no test's term, so a
-canonical test builds its term only if it is returned as the witness.
+canonical test or a flavored variant of one builds its term only if it
+is returned as the witness.
 """
 
 from __future__ import annotations

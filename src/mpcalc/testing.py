@@ -5,7 +5,10 @@ success state s.  Three grammars of increasing liberality are supported:
 
   reactive   T ::= s | T'      T' ::= <a,*w>.T | T' + T'
   liberal    T ::= s | <a,*w>.T | T + T          (s may be a summand)
-  tau        reactive plus exponentially timed  <tau,lambda>.T'  prefixes
+  tau        T ::= s | T'      T' ::= <a,*w>.T | <tau,lambda>.T' | T' + T'
+
+so a tau test may race a timed tau summand against passive ones;
+flavored_tests only ever puts <tau,1> in front of a whole node.
 
 The interaction of a performance-closed P with T runs them in parallel,
 synchronized on every visible name of either side plus the reserved
@@ -22,8 +25,10 @@ tests as they are consumed, each as one new root state over the states
 of the tests made before it; it builds and indexes no term, and a test
 builds its term from its states when the term is first read (printed,
 compared, hashed, or returned as a witness), each node's term once.
-flavored_tests turns them into their liberal or tau variants, which
-read the base test's term and index only the nodes of the edited path.
+flavored_tests turns them into their liberal or tau variants by
+editing their states: a variant is new only at its edited node and the
+nodes on the path to it, and builds its term when read, as a canonical
+test does.  _term_of is the one place that builds a term from states.
 It also owns the interaction product: InteractionProduct steps a
 process LMTS and a test's states together by its one move rule, and
 memoizes, held weakly by test node, its steps and which product states
@@ -42,7 +47,7 @@ from __future__ import annotations
 import dataclasses as d
 from collections.abc import Iterable, Iterator, MutableMapping
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from weakref import WeakKeyDictionary
 
 from . import terms as t
@@ -60,8 +65,8 @@ class TestState:
     body), whether s is a summand, whether success is still reachable,
     given that z never synchronizes, and its term.  States compare and
     hash by identity, so tests built on a shared subtree share its
-    states.  A canonical test's node is made from states, with no term
-    until _term_of builds it."""
+    states.  A node of a canonical test or of a flavored variant is made
+    from states, with no term until _term_of builds it."""
 
     summands: tuple[tuple[str, t.Rate, TestState], ...]
     successful: bool
@@ -72,11 +77,14 @@ class TestState:
 def _term_of(state: TestState) -> t.ProcessTerm:
     """The term of a test node, built from its states the first time it
     is read and kept on the state, so that a continuation that many tests
-    share builds its term once.  A node made from states is a canonical
-    test's root: the choice of its prefix summands, in order."""
+    share builds its term once.  A node made from states builds the
+    choice of its prefix summands, in order, followed by s when it is
+    successful."""
     if state.term is None:
-        object.__setattr__(state, "term", t.nest_right(
-            [t.Prefix(name, rate, _term_of(body)) for name, rate, body in state.summands]))
+        parts = [t.Prefix(name, rate, _term_of(body)) for name, rate, body in state.summands]
+        if state.successful:
+            parts.append(t.SUCCESS)
+        object.__setattr__(state, "term", t.nest_right(parts))
     return state.term
 
 
@@ -85,9 +93,9 @@ class Test:
     """A test of the given flavor.  Test(term, flavor) checks the term
     against the grammar of the flavor and indexes it: root is the
     TestState of the term, linked to the states of all its nodes.  The
-    canonical tests are made from their states instead and build their
-    term the first time it is read.  Tests compare and hash by term and
-    flavor."""
+    canonical tests and their flavored variants are made from their
+    states instead and build their term the first time it is read.
+    Tests compare and hash by term and flavor."""
 
     root: TestState
     flavor: str
@@ -136,7 +144,9 @@ def _index(node: t.ProcessTerm, flavor: str, known: dict[t.ProcessTerm, TestStat
     """The state of a test node, checked against the grammar of its flavor
     in one walk; NotWellFormed names the first rule broken.  known maps
     nodes already indexed to their states and gains those indexed below
-    node.  node itself is not looked up, so a new root is not hashed."""
+    node, so equal subterms share one state.  node itself is not looked
+    up.  Only Test(term, flavor) and _FAILURE_STATE index a term: the
+    canonical tests and their flavored variants are made from states."""
     parts = t.summand_list(node)
     successful = live = False
     summands = []
@@ -437,45 +447,33 @@ def canonical_tests(names, depth: int) -> Iterator[Test]:
 
 
 _EDITS = {
-    "liberal": lambda node: t.nest_right(t.summand_list(node) + [t.SUCCESS]),
-    "tau": lambda node: t.Prefix(t.TAU, t.Rate(Fraction(1)), node),
+    "liberal": lambda node: TestState(node.summands, True, True),
+    "tau": lambda node: TestState(((t.TAU, t.Rate(1), node),), False, node.live),
 }
 
 
-def _known(term: t.ProcessTerm, state: TestState) -> dict[t.ProcessTerm, TestState]:
-    """term and its prefix bodies, with their states."""
-    known = {term: state}
-    prefixes = [part for part in t.summand_list(term) if isinstance(part, t.Prefix)]
-    for part, (_, _, body) in zip(prefixes, state.summands):
-        known[part.body] = body
-    return known
-
-
-def _edited(term: t.ProcessTerm, state: TestState, edit) -> Iterator[tuple[t.ProcessTerm, dict]]:
-    """term with edit applied at one node at a time, in pre-order over
+def _edited(node: TestState, edit) -> Iterator[TestState]:
+    """node with edit applied at one node at a time, in pre-order over
     the nodes other than s reached through visible names other than z:
-    the success path and the first step of each failure branch.  Each
-    comes with the states of the nodes it keeps beside the edit and
-    along the path to it, so that only its new nodes are indexed."""
-    if isinstance(term, t.Success):
+    the success path and the first step of each failure branch.  Only
+    the edited node and the nodes on the path to it are new."""
+    if node.successful:
         return
-    known = _known(term, state)
-    yield edit(term), known
-    parts = t.summand_list(term)
-    for i, part in enumerate(parts):
-        if isinstance(part, t.Prefix) and part.name != t.FAILURE_NAME:
-            for body, inner in _edited(part.body, known[part.body], edit):
-                kept = parts[:i] + [t.Prefix(part.name, part.rate, body)] + parts[i + 1:]
-                yield t.nest_right(kept), {**known, **inner}
+    yield edit(node)
+    for i, (name, rate, body) in enumerate(node.summands):
+        if name != t.FAILURE_NAME:
+            for inner in _edited(body, edit):
+                summands = node.summands[:i] + ((name, rate, inner),) + node.summands[i + 1:]
+                yield TestState(summands, False, node.live or inner.live)
 
 
 def flavored_tests(base: Iterable[Test], flavor: str) -> Iterable[Test]:
     """The reactive base tests in the given flavor.  Reactive tests are
     the base itself.  Liberal tests adjoin s as an extra summand, tau
     tests put a <tau,1> step first, at one node at a time: each base test
-    is followed by its variants, and repeats are skipped.  The reactive
-    grammar is part of the other two, so a variant reuses the states of
-    the nodes it keeps from its base test and indexes only its new ones."""
+    is followed by its variants.  A variant is made from states, as a
+    canonical test is: it keeps the states of its base test beside the
+    edit, and builds its term only when that is read."""
     if flavor not in FLAVORS:
         raise ValueError(f"unknown test flavor {flavor!r}")
     if flavor == "reactive":
@@ -483,14 +481,15 @@ def flavored_tests(base: Iterable[Test], flavor: str) -> Iterable[Test]:
     edit = _EDITS[flavor]
 
     def variants() -> Iterator[Test]:
-        seen: set[t.ProcessTerm] = set()
         for test in base:
             if test.flavor != "reactive":
                 raise ValueError(f"base tests must be reactive, got a {test.flavor} test")
-            unedited = (test.term, _known(test.term, test.root))
-            for term, known in chain((unedited,), _edited(test.term, test.root, edit)):
-                if term not in seen:
-                    seen.add(term)
-                    yield _test_of(_index(term, flavor, known), flavor)
+            root = test.root
+            # a new root, not the base's own: canonical_tests keeps that as
+            # a continuation of its next layer, so a search's memo entries
+            # on it would outlive the test
+            yield _test_of(TestState(root.summands, root.successful, root.live, root.term), flavor)
+            for variant in _edited(root, edit):
+                yield _test_of(variant, flavor)
 
     return variants()

@@ -204,14 +204,15 @@ def test_the_memos_keep_nothing_of_a_consumed_test():
     assert len(memo) == len(product._steps) == len(product._reach) == 0
 
 
-def test_a_search_keeps_no_test_it_has_consumed():
+@pytest.mark.parametrize("flavor", ["liberal", "tau"])
+def test_a_search_keeps_no_test_it_has_consumed(flavor):
     # p against itself: no test separates them, so the search takes every
-    # test and measures each liberal variant with s at its root
+    # test (and measures each liberal variant with s at its root)
     lts = build_lts(parse_term("<a,1>.<b,2>.0 + <tau,1>.<b,1>.0"))
     roots = []
 
     def tests():
-        for test in flavored_tests(canonical_tests(["a", "b"], 2), "liberal"):
+        for test in flavored_tests(canonical_tests(["a", "b"], 2), flavor):
             # the search holds the test it took last, and no other
             assert all(root() is None for root in roots[:-1])
             roots.append(weakref.ref(test.root))

@@ -13,6 +13,7 @@ from mpcalc import terms as t
 from mpcalc.computations import filter_le_theta, filter_len, prob_set
 from mpcalc.corpus import random_term
 from mpcalc.errors import CalcError, NotPerformanceClosed, NotWellFormed, ReservedNameError
+from mpcalc.mlogic import enumerate_formulas, formula_test
 from mpcalc import testing
 from mpcalc.oracle import bounded_testing_oracle, passing_probability, successful_measures
 from mpcalc.parser import parse_term, parse_test_body
@@ -69,16 +70,18 @@ def _record_built_terms(monkeypatch):
     return built
 
 
-def test_the_oracle_indexes_each_test_once(monkeypatch):
+@pytest.mark.parametrize("flavor", testing.FLAVORS)
+def test_the_oracle_indexes_each_test_once(monkeypatch, flavor):
     calls = []
     index = testing._index
     monkeypatch.setattr(testing, "_index", lambda *args: calls.append(args) or index(*args))
     built = _record_built_terms(monkeypatch)
     verdict = bounded_testing_oracle(parse_term("<a,1>.<b,1>.0"), parse_term("<a,1>.<b,2>.0"),
-                                     depth=2)
+                                     depth=2, flavor=flavor)
     assert not verdict.equivalent and verdict.tests_checked > 1
-    # s is indexed from its term; every other test is made from states and
-    # measured on them, and the search builds no term
+    # s is indexed from its term; every other test, flavored variants
+    # included, is made from states and measured on them, and the search
+    # builds no term
     assert len(calls) == 1 and built == []
     # reading the witness builds its term, and no other
     assert str(verdict.witness_test) == "<a,*1>.<b,*1>.s"
@@ -242,7 +245,7 @@ def test_canonical_tests_index_only_their_new_root(monkeypatch):
         assert parse_test(str(test)).term == test.term
 
 
-def test_flavored_variants_index_only_their_new_nodes(monkeypatch):
+def test_flavored_variants_are_made_from_states(monkeypatch):
     base = list(canonical_tests(["a", "b"], 2))
     for flavor in ("liberal", "tau"):
         calls = []
@@ -250,13 +253,48 @@ def test_flavored_variants_index_only_their_new_nodes(monkeypatch):
         monkeypatch.setattr(testing, "_index", lambda *args: calls.append(args) or index(*args))
         variants = list(flavored_tests(base, flavor))
         monkeypatch.undo()
+        # a variant edits its base test's states and indexes no term
+        assert calls == []
         full = [testing.Test(x.term, flavor) for x in variants]
         assert [_shape(x.root) for x in variants] == [_shape(x.root) for x in full]
-        # the full index walks every node again, a variant only the ones
-        # on the path to its edit
-        assert len(calls) < sum(len(list(t.subterms(x.term))) for x in variants) // 3
     with pytest.raises(ValueError):
         list(flavored_tests(flavored_tests(base, "liberal"), "tau"))
+
+
+_TERM_EDITS = {
+    "liberal": lambda node: t.nest_right(t.summand_list(node) + [t.SUCCESS]),
+    "tau": lambda node: t.Prefix(t.TAU, t.Rate(1), node),
+}
+
+
+def _term_variants(term, edit):
+    # the variants read off the term: edit at one node at a time, in
+    # pre-order over the nodes other than s reached through visible names
+    # other than z, each path node rebuilt as a right-nested sum
+    if isinstance(term, t.Success):
+        return
+    yield edit(term)
+    parts = t.summand_list(term)
+    for i, part in enumerate(parts):
+        if isinstance(part, t.Prefix) and part.name != t.FAILURE_NAME:
+            for body in _term_variants(part.body, edit):
+                kept = parts[:i] + [t.Prefix(part.name, part.rate, body)] + parts[i + 1:]
+                yield t.nest_right(kept)
+
+
+@pytest.mark.parametrize("flavor", ["liberal", "tau"])
+def test_flavored_variants_match_the_term_level_edit(flavor):
+    # bases indexed from formula terms, unlike canonical ones, share the
+    # states of equal subterms, s among them, so an edit at one occurrence
+    # of a shared node must leave the others as they are; the last base
+    # cannot succeed until a liberal edit puts s beside its z
+    bases = [make_test(formula_test(f)) for f in enumerate_formulas(("a", "b"), 2)]
+    for base in bases + [parse_test("<a,*1>.<z,*1>.s")]:
+        variants = list(flavored_tests([base], flavor))
+        expected = [base.term, *_term_variants(base.term, _TERM_EDITS[flavor])]
+        assert [x.term for x in variants] == expected
+        assert ([_shape(x.root) for x in variants]
+                == [_shape(testing.Test(term, flavor).root) for term in expected])
 
 
 @settings(max_examples=40, deadline=None)
