@@ -71,6 +71,13 @@ empty-word difference (one side stops, the other does not) immediate.
 It is read only where the test may offer every name next: after a tau
 letter, a process that stops and one that offers only names the locked
 set blocks look the same to the test.
+
+The arithmetic is exact and on integers.  embed scales every rate of an
+LMTS by D, the least common multiple of its rate denominators, and keys
+a letter by (E, a, R * D); the span scales both sides to the least
+common multiple of their D, so a letter's integer matrix is one positive
+multiple of its probabilities on both sides.  Fractions are made only
+for the witness word and for the matrices view of an automaton.
 """
 
 from __future__ import annotations
@@ -78,6 +85,7 @@ from __future__ import annotations
 import dataclasses as d
 from collections import deque
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 
@@ -86,7 +94,16 @@ from .errors import NotPerformanceClosed
 from .oracle import environment_tests, search_witness
 from .semantics import LMTS, build_lts
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[int, ...]
+# A label as an automaton keys it: (offered, name, R * D), the rate R an
+# integer over the automaton's scale D
+Key = tuple[tuple[str, ...], str, int]
+
+
+def _sort_key(offered: tuple[str, ...], name: str, rate):
+    # smaller sets first, so a word keeps to the names it needs
+    shown = tuple(sorted(offered + (t.TAU,))) if name == t.TAU else offered
+    return (len(shown), shown, name, rate)
 
 
 @d.dataclass(frozen=True)
@@ -106,8 +123,7 @@ class AugmentedLabel:
 
     @property
     def sort_key(self):
-        # smaller sets first, so a word keeps to the names it needs
-        return (len(self.shown), self.shown, self.name, self.rate)
+        return _sort_key(self.offered, self.name, self.rate)
 
     def __str__(self) -> str:
         return f"<{{{','.join(self.shown)}}} {self.name} @{self.rate}>"
@@ -119,12 +135,27 @@ Scope = dict[str, tuple[str, ...]]
 
 @d.dataclass(frozen=True)
 class WeightedAutomaton:
+    """An embedded LMTS on integer rates: every rate is an integer over
+    scale, the least common multiple D of the LMTS's rate denominators.
+    rows maps each label (offered, name, R * D) to its rows, source ->
+    ((target, rate * D), ...): the label's probabilities times R * D.
+    init and terminal are 0/1 vectors over the states."""
+
     size: int
     init: Vector
     terminal: Vector
-    # label -> source -> ((target, weight), ...)
-    matrices: dict[AugmentedLabel, dict[int, tuple[tuple[int, Fraction], ...]]]
+    rows: dict[Key, dict[int, tuple[tuple[int, int], ...]]]
+    scale: int
     scope: Scope = d.field(default_factory=dict)
+
+    @cached_property
+    def matrices(self) -> dict[AugmentedLabel, dict[int, tuple[tuple[int, Fraction], ...]]]:
+        """The label matrices as exact probabilities: label -> source ->
+        ((target, probability), ...)."""
+        return {AugmentedLabel(offered, name, Fraction(race, self.scale)):
+                {src: tuple((tgt, Fraction(weight, race)) for tgt, weight in row)
+                 for src, row in by_src.items()}
+                for (offered, name, race), by_src in self.rows.items()}
 
 
 def scope_of(*ltss: LMTS) -> Scope:
@@ -133,9 +164,9 @@ def scope_of(*ltss: LMTS) -> Scope:
     names offered by the states that a tau move leaves or enters."""
     scope: dict[str, set[str]] = {}
     for lts in ltss:
-        ready = [{name for name, _, _ in moves if name != t.TAU} for moves in lts.moves]
-        for i, moves in enumerate(lts.moves):
-            for name, _, j in moves:
+        ready = [{row[0] for row in group if row[0] != t.TAU} for group in lts.rows]
+        for i, group in enumerate(lts.rows):
+            for name, _, j, _ in group:
                 names = scope.setdefault(name, set())
                 names |= ready[i]
                 if name == t.TAU:
@@ -148,7 +179,12 @@ def embed(lts: LMTS, scope: Scope | None = None) -> WeightedAutomaton:
     tests see it: from each state, each move on a name, visible or tau,
     is the label (E, name, R) with weight rate / R, for each subset E of
     the name's scope that holds a visible name; R is the state's total
-    rate on E and tau.  The scope defaults to the LMTS's own."""
+    rate on E and tau.  The scope defaults to the LMTS's own.
+
+    The automaton keeps every rate as an integer over D, the least
+    common multiple of the LMTS's rate denominators: a move's row entry
+    is its rate times D and its label is keyed by R * D, so the label's
+    probabilities are its entries over R * D."""
     if not lts.performance_closed:
         raise NotPerformanceClosed("embedding requires a performance-closed process")
     if scope is None:
@@ -157,29 +193,31 @@ def embed(lts: LMTS, scope: Scope | None = None) -> WeightedAutomaton:
                      for offered in combinations(names, size)
                      if name == t.TAU or name in offered]
               for name, names in scope.items()}
+    scale = lcm(*{rate.value.denominator for group in lts.rows for _, rate, _, _ in group})
     n = len(lts.states)
-    init = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))
-    terminal = [Fraction(0)] * n
-    rows: dict[AugmentedLabel, dict[int, dict[int, Fraction]]] = {}
-    for i, moves in enumerate(lts.moves):
-        if not moves:
-            terminal[i] = Fraction(1)
+    init = (1,) + (0,) * (n - 1)
+    terminal = [0] * n
+    entries: dict[Key, dict[int, dict[int, int]]] = {}
+    for i, group in enumerate(lts.rows):
+        if not group:
+            terminal[i] = 1
             continue
-        table: dict[str, Fraction] = {}
-        for name, rate, _ in moves:
-            table[name] = table[name] + rate if name in table else rate
+        moves = []
+        table: dict[str, int] = {}
+        for name, rate, j, count in group:
+            value = rate.value
+            weight = value.numerator * (scale // value.denominator) * count
+            moves.append((name, weight, j))
+            table[name] = table.get(name, 0) + weight
         tau = table.get(t.TAU, 0)
-        for name, rate, j in moves:
+        for name, weight, j in moves:
             for offered in offers[name]:
-                race = sum((table[b] for b in offered if b in table), tau)
-                row = rows.setdefault(AugmentedLabel(offered, name, race), {}).setdefault(i, {})
-                share = rate / race
-                row[j] = row[j] + share if j in row else share
-    matrices = {
-        label: {src: tuple(sorted(row.items())) for src, row in by_src.items()}
-        for label, by_src in rows.items()
-    }
-    return WeightedAutomaton(n, init, tuple(terminal), matrices, scope)
+                race = sum([table[b] for b in offered if b in table], tau)
+                row = entries.setdefault((offered, name, race), {}).setdefault(i, {})
+                row[j] = row.get(j, 0) + weight
+    rows = {key: {src: tuple(sorted(row.items())) for src, row in by_src.items()}
+            for key, by_src in entries.items()}
+    return WeightedAutomaton(n, init, tuple(terminal), rows, scale, scope)
 
 
 def embed_pair(lts1: LMTS, lts2: LMTS) -> tuple[WeightedAutomaton, WeightedAutomaton]:
@@ -196,33 +234,25 @@ class EquivReport:
     dimension: int
 
 
-def _integers(values: Vector) -> list[int]:
-    """The integer vector with no common factor that is a positive multiple
-    of the rational vector values; all zeros stays all zeros."""
-    scale = lcm(*(x.denominator for x in values))
-    ints = [x.numerator * (scale // x.denominator) for x in values]
-    g = gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
-
-
-def _integer_rows(a1: WeightedAutomaton, a2: WeightedAutomaton,
-                  labels: list[AugmentedLabel]) -> list[tuple[AugmentedLabel, list]]:
-    """Per label, in order, the (source, ((target, weight), ...)) rows of
-    both automata over the joint state space, a2's states after a1's.  A
-    label's weights are its probabilities times the least common multiple
-    of their denominators, so each row is a positive multiple of the label
-    matrix's row, one multiple for the whole label."""
-    steps = []
-    for label in labels:
-        sides = [(shift, auto.matrices.get(label, {}))
-                 for shift, auto in ((0, a1), (a1.size, a2))]
-        scale = lcm(*(p.denominator for _, matrix in sides
-                      for row in matrix.values() for _, p in row))
-        steps.append((label, [
-            (shift + src, tuple((shift + tgt, p.numerator * (scale // p.denominator))
-                                for tgt, p in row))
-            for shift, matrix in sides for src, row in matrix.items()]))
-    return steps
+def _joint_rows(a1: WeightedAutomaton, a2: WeightedAutomaton,
+                scale: int) -> dict[Key, list[tuple[int, tuple[tuple[int, int], ...]]]]:
+    """Per label (offered, name, R * scale), the (source, ((target,
+    weight), ...)) rows of both automata over the joint state space, a2's
+    states after a1's.  Side i's rates are scaled by scale / D_i, so a
+    label's weights are its probabilities times R * scale on both sides:
+    one positive multiple for the whole label."""
+    joint: dict[Key, list] = {}
+    for shift, auto in ((0, a1), (a1.size, a2)):
+        factor = scale // auto.scale
+        for (offered, name, race), by_src in auto.rows.items():
+            rows = joint.setdefault((offered, name, race * factor), [])
+            if shift == 0 and factor == 1:
+                rows.extend(by_src.items())
+            else:
+                rows.extend((shift + src, tuple((shift + tgt, weight * factor)
+                                                for tgt, weight in row))
+                            for src, row in by_src.items())
+    return joint
 
 
 def prob_language_equiv(a1: WeightedAutomaton, a2: WeightedAutomaton) -> EquivReport:
@@ -239,7 +269,10 @@ def prob_language_equiv(a1: WeightedAutomaton, a2: WeightedAutomaton) -> EquivRe
     of b go on.  Each part has its own basis; dimension counts every
     part.
 
-    The vector reached by a word w is an integer vector with no common
+    Both sides are joined on integer rates over L, the least common
+    multiple of their scales, so each label's integer matrix is R * L
+    times its probabilities, one positive multiple on both sides.  The
+    vector reached by a word w is an integer vector with no common
     factor, a nonzero multiple of the exact product init * M_w.  Both
     functionals are zero tests and the span of a set of vectors does not
     change when one is scaled, so every test here answers as it would on
@@ -251,26 +284,23 @@ def prob_language_equiv(a1: WeightedAutomaton, a2: WeightedAutomaton) -> EquivRe
     if a1.scope != a2.scope:
         raise ValueError(f"automata embedded over different scopes: {a1.scope} and {a2.scope}")
     dim = a1.size + a2.size
-    labels = sorted(
-        set(a1.matrices) | set(a2.matrices), key=lambda label: label.sort_key
-    )
-    steps = _integer_rows(a1, a2, labels)
+    common = lcm(a1.scale, a2.scale)
+    joint = _joint_rows(a1, a2, common)
+    labels = sorted(joint, key=lambda key: _sort_key(*key))
     # part None holds the free words, part E the words that end in a tau
     # label offering E; a step's part is the one its label leads to
     parts: dict[tuple[str, ...] | None, list] = {None: [
-        (label, label.offered if label.name == t.TAU else None, rows)
-        for label, rows in steps]}
+        (label, label[0] if label[1] == t.TAU else None, joint[label]) for label in labels]}
     for _, part, _ in parts[None]:
         if part is not None and part not in parts:
             node = {(t.TAU, part)} | {
                 (name, tuple(b for b in part if b in a1.scope[name])) for name in part}
-            parts[part] = [step for step in parts[None]
-                           if (step[0].name, step[0].offered) in node]
+            parts[part] = [step for step in parts[None] if (step[0][1], step[0][0]) in node]
     dimension = dim * len(parts)
     # Sign convention: the difference lives in the start vector, so both
     # functionals are applied unsigned.
-    v0 = _integers(list(a1.init) + [-x for x in a2.init])
-    f_term = _integers(list(a1.terminal) + list(a2.terminal))
+    v0 = list(a1.init) + [-x for x in a2.init]
+    f_term = list(a1.terminal) + list(a2.terminal)
 
     def violates(v: list[int], part) -> bool:
         if sum(v) != 0:
@@ -300,9 +330,14 @@ def prob_language_equiv(a1: WeightedAutomaton, a2: WeightedAutomaton) -> EquivRe
     def basis_size() -> int:
         return sum(len(basis) for basis in bases.values())
 
-    queue: deque[tuple[tuple[str, ...] | None, list[int], tuple[AugmentedLabel, ...]]] = deque()
+    def report(word: tuple[Key, ...]) -> EquivReport:
+        return EquivReport(False, tuple(AugmentedLabel(offered, name, Fraction(race, common))
+                                        for offered, name, race in word),
+                           basis_size(), dimension)
+
+    queue: deque[tuple[tuple[str, ...] | None, list[int], tuple[Key, ...]]] = deque()
     if violates(v0, None):
-        return EquivReport(False, (), 0, dimension)
+        return report(())
     if insert(v0, bases[None]):
         queue.append((None, v0, ()))
     while queue:
@@ -318,7 +353,7 @@ def prob_language_equiv(a1: WeightedAutomaton, a2: WeightedAutomaton) -> EquivRe
                 continue
             extended = word + (label,)
             if violates(out, target):
-                return EquivReport(False, extended, basis_size(), dimension)
+                return report(extended)
             g = gcd(*out)
             if g > 1:
                 out = [x // g for x in out]
@@ -387,7 +422,7 @@ def decide_equiv(
     length = len(report.witness_word)
     if with_test_witness and length <= SEARCH_LENGTH and (
             length <= SEARCH_DEPTH
-            or any(label.name == t.TAU for auto in (a1, a2) for label in auto.matrices)):
+            or any(name == t.TAU for auto in (a1, a2) for _, name, _ in auto.rows)):
         tests = environment_tests(lts1, lts2, max(1, min(length, SEARCH_DEPTH)))
         verdict = search_witness(lts1, lts2, tests, max(1, length), length)
         if not verdict.equivalent:

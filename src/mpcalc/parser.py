@@ -112,10 +112,6 @@ class _Stream:
         # an integer converts without Fraction's parse of the text
         return Fraction(int(text)) if text.isdigit() else Fraction(text)
 
-    def has_ident(self, text: str) -> bool:
-        """Whether some identifier token of the source spells text."""
-        return any(kind == "ident" and tok_text == text for kind, tok_text, _ in self.tokens)
-
 
 def _parse_rate(stream: _Stream) -> t.Rate:
     tok = stream.current
@@ -126,7 +122,7 @@ def _parse_rate(stream: _Stream) -> t.Rate:
         if denominator == 0:
             raise stream.error_at(tok, "zero denominator", RateValueError)
         value = value / denominator
-    if value <= 0:
+    if not value:  # a number token is never negative
         raise stream.error_at(tok, f"rate must be positive, got {value}", RateValueError)
     return t.Rate(value, passive=passive)
 
@@ -242,9 +238,10 @@ def parse_term(source: str) -> t.ProcessTerm:
     term = _TermParser(stream, test_mode=False).parse()
     # Only an identifier can spell the reserved name, and only the
     # keyword rec makes a binder: the term is walked only when needed.
-    if stream.has_ident(t.FAILURE_NAME) and t.uses_failure_name(term):
+    idents = {text for kind, text, _ in stream.tokens if kind == "ident"}
+    if t.FAILURE_NAME in idents and t.uses_failure_name(term):
         raise ReservedNameError(f"name {t.FAILURE_NAME!r} is reserved for tests")
-    if stream.has_ident("rec"):
+    if "rec" in idents:
         return t.alpha_normalize(term)
     return term
 

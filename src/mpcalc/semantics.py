@@ -36,6 +36,9 @@ Entry = tuple[str, t.Rate, t.ProcessTerm]
 # A row of an LMTS move table: action name, aggregate rate (rate times
 # multiplicity) and target state index.
 Move = tuple[str, Fraction, int]
+# A row of the table build_lts fills: action name, rate, target state
+# index and multiplicity.
+Row = tuple[str, t.Rate, int, int]
 
 
 @lru_cache(maxsize=None)
@@ -146,12 +149,30 @@ class Transition:
 
 @d.dataclass
 class LMTS:
-    """Labeled multitransition system over alpha-normalized state terms."""
+    """Labeled multitransition system over alpha-normalized state terms.
+
+    rows is the table that build_lts fills: per state index, one (name,
+    rate, target index, multiplicity) row per aggregated transition, in
+    derivation order.  moves, performance_closed and visible_names read
+    it; outgoing and transitions() give the same transitions as
+    Transition objects, made when outgoing is first read."""
 
     root: t.ProcessTerm
     states: list[t.ProcessTerm]
     index: dict[t.ProcessTerm, int]
-    outgoing: list[list[Transition]]
+    rows: list[tuple[Row, ...]]
+
+    @cached_property
+    def _outgoing(self) -> list[list[Transition]]:
+        states = self.states
+        return [[Transition(states[i], name, rate, states[j], count)
+                 for name, rate, j, count in group]
+                for i, group in enumerate(self.rows)]
+
+    @property
+    def outgoing(self) -> list[list[Transition]]:
+        """Per state index, its transitions in derivation order."""
+        return self._outgoing
 
     def transitions(self):
         for group in self.outgoing:
@@ -161,18 +182,20 @@ class LMTS:
     def moves(self) -> list[tuple[Move, ...]]:
         """The move table: per state index, one (name, aggregate rate,
         target index) row per aggregated transition, in derivation order."""
-        return [tuple((tr.name, tr.aggregate, self.index[tr.target]) for tr in group)
-                for group in self.outgoing]
+        return [tuple((name, rate.value * count if count > 1 else rate.value, j)
+                      for name, rate, j, count in group)
+                for group in self.rows]
 
     def state_of(self, term: t.ProcessTerm) -> int:
         return self.index[_normal(term)]
 
     @cached_property
     def performance_closed(self) -> bool:
-        return all(not tr.rate.passive for tr in self.transitions())
+        return not any(rate.passive for group in self.rows for _, rate, _, _ in group)
 
     def visible_names(self) -> frozenset[str]:
-        return frozenset(tr.name for tr in self.transitions() if tr.name != t.TAU)
+        return frozenset(name for group in self.rows for name, _, _, _ in group
+                         if name != t.TAU)
 
 
 def build_lts(
@@ -183,30 +206,34 @@ def build_lts(
     Raises StateBoundExceeded when more than state_bound states are reached,
     which signals likely divergence such as rec X : <a,1>.(X |[]| X).
     """
-    t.require_analyzable(term, allow_failure_name=allow_failure_name)
-    root = _normal(term)
+    # Derivation unfolds only the binders a term holds, so every state of
+    # a binder-free root is binder-free and already alpha-normal.
+    binder = t.require_analyzable(term, allow_failure_name=allow_failure_name)
+    root = _normal(term) if binder else term
     states = [root]
     index = {root: 0}
-    outgoing: list[list[Transition]] = []
+    rows: list[tuple[Row, ...]] = []
     frontier = [root]
     while frontier:
         next_frontier: list[t.ProcessTerm] = []
         for state in frontier:
-            group: list[Transition] = []
-            for (name, rate, raw_target), count in derive_transitions(state):
-                target = _normal(raw_target)
-                if target not in index:
+            group: list[Row] = []
+            for (name, rate, target), count in derive_transitions(state):
+                if binder:
+                    target = _normal(target)
+                j = index.get(target)
+                if j is None:
                     if len(states) >= state_bound:
                         raise StateBoundExceeded(
                             f"more than {state_bound} states reachable from {term}"
                         )
-                    index[target] = len(states)
+                    j = index[target] = len(states)
                     states.append(target)
                     next_frontier.append(target)
-                group.append(Transition(state, name, rate, target, count))
-            outgoing.append(group)
+                group.append((name, rate, j, count))
+            rows.append(tuple(group))
         frontier = next_frontier
-    return LMTS(root=root, states=states, index=index, outgoing=outgoing)
+    return LMTS(root=root, states=states, index=index, rows=rows)
 
 
 def _rate_json(rate: t.Rate) -> dict:

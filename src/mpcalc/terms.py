@@ -287,14 +287,16 @@ def check_wellformed(term: ProcessTerm) -> WellFormedness:
     )
 
 
-def require_analyzable(term: ProcessTerm, *, allow_failure_name: bool = False) -> None:
+def require_analyzable(term: ProcessTerm, *, allow_failure_name: bool = False) -> bool:
     """Raise NotWellFormed if the term has free variables, else if a
     recursion variable is unguarded, else ReservedNameError if it uses the
     name z and that is not allowed.  One walk on an explicit stack finds
-    all three, so a term of any depth is checked."""
+    all three, so a term of any depth is checked.  Returns whether the
+    term holds a rec binder."""
     free: set[str] = set()
     guarded = True
     failure = False
+    binder = False
     none: frozenset[str] = frozenset()
     # (node, variables bound above it, variables bound above it whose
     # binder no prefix on the path has crossed yet)
@@ -311,6 +313,7 @@ def require_analyzable(term: ProcessTerm, *, allow_failure_name: bool = False) -
             pending = none
         elif isinstance(sub, Rec):
             bound, pending = bound | {sub.var}, pending | {sub.var}
+            binder = True
         failure = failure or FAILURE_NAME in _own_names(sub)
         for child in children(sub):
             stack.append((child, bound, pending))
@@ -320,6 +323,7 @@ def require_analyzable(term: ProcessTerm, *, allow_failure_name: bool = False) -
         raise NotWellFormed("unguarded recursion")
     if failure and not allow_failure_name:
         raise ReservedNameError(f"name {FAILURE_NAME!r} is reserved for tests")
+    return binder
 
 
 def substitute(term: ProcessTerm, var: str, replacement: ProcessTerm) -> ProcessTerm:

@@ -417,6 +417,11 @@ def canonical_tests(names, depth: int) -> Iterator[Test]:
     if depth < 0:
         raise CalcError(f"test depth must be at least 0, got {depth}")
     universe = sorted(set(names))
+    for name in universe:
+        # an ASCII identifier is what the grammar reads as a name:
+        # [A-Za-z_][A-Za-z0-9_]*
+        if not (name.isascii() and name.isidentifier()):
+            raise CalcError(f"environment name {name!r} is not an identifier")
     if t.TAU in universe or t.FAILURE_NAME in universe:
         raise ReservedNameError("environment names must be visible and distinct from z")
     environments = [

@@ -189,6 +189,13 @@ def test_gen_tests_past_the_output_budget_build_no_test(capsys, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("names", ["a, b", "a b"])
+def test_gen_tests_refuses_names_the_grammar_cannot_read(capsys, names):
+    # " b" printed as <b,*1> would parse back as a test over another name
+    code, out, err = run(capsys, "gen-tests", "-E", names, "--depth", "1")
+    assert code == 2 and out == "" and "not an identifier" in err
+
+
 def test_gen_tests_negative_depth_exits_two(capsys):
     code, out, err = run(capsys, "gen-tests", "-E", "a", "--depth", "-1")
     assert code == 2 and out == "" and err.startswith("error:")

@@ -5,6 +5,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from random import Random
+from typing import NamedTuple
 
 import pytest
 
@@ -12,8 +13,8 @@ from mpcalc import decider, oracle
 from mpcalc import terms as t
 from mpcalc.axioms import axiom_prove
 from mpcalc.corpus import chain_pair, random_pairs, random_term
-from mpcalc.decider import (AugmentedLabel, EquivReport, WeightedAutomaton, decide_equiv,
-                            embed, embed_pair, prob_language_equiv)
+from mpcalc.decider import (AugmentedLabel, EquivReport, decide_equiv, embed, embed_pair,
+                            prob_language_equiv)
 from mpcalc.errors import CalcError, NotPerformanceClosed
 from mpcalc.mlogic import characterization_check
 from mpcalc.oracle import (bounded_testing_oracle, environment_tests, search_witness,
@@ -99,11 +100,29 @@ def _same_node(label, part, scope):
     return label.name in part and label.offered == tuple(b for b in part if b in scope[label.name])
 
 
+class FractionAutomaton(NamedTuple):
+    """An automaton as the reference span reads it: Fraction vectors and
+    matrices label -> source -> ((target, probability), ...)."""
+
+    size: int
+    init: tuple[Fraction, ...]
+    terminal: tuple[Fraction, ...]
+    matrices: dict
+    scope: dict
+
+
+def _fractions(auto):
+    """The exact probabilities of an embedded automaton."""
+    return FractionAutomaton(auto.size, tuple(map(Fraction, auto.init)),
+                             tuple(map(Fraction, auto.terminal)), auto.matrices, auto.scope)
+
+
 def _dense_fraction_span(a1, a2, follows=_same_node):
     """Reference: the span on exact Fraction vectors init * M_w, with a
     normalized echelon basis per part (free words, or words that end in a
     tau label offering E, after which only the labels that follows allows
-    go on); prob_language_equiv must agree with it."""
+    go on), over two FractionAutomatons; prob_language_equiv must agree
+    with it."""
     dim = a1.size + a2.size
     labels = sorted(set(a1.matrices) | set(a2.matrices), key=lambda label: label.sort_key)
     parts = [None] + sorted({label.offered for label in labels if label.name == t.TAU})
@@ -158,7 +177,7 @@ def _dense_fraction_span(a1, a2, follows=_same_node):
 def _same_as_reference(left, right):
     a1, a2 = embed_pair(build_lts(left), build_lts(right))
     report = prob_language_equiv(a1, a2)
-    assert report == _dense_fraction_span(a1, a2)
+    assert report == _dense_fraction_span(_fractions(a1), _fractions(a2))
     return report
 
 
@@ -183,7 +202,7 @@ def _power_set_embed(lts, names):
                 for label, by_src in rows.items()}
     init = tuple(Fraction(int(i == 0)) for i in range(n))
     terminal = tuple(Fraction(int(not moves)) for moves in lts.moves)
-    return WeightedAutomaton(n, init, terminal, matrices)
+    return FractionAutomaton(n, init, terminal, matrices, {})
 
 
 def test_scopes_decide_as_every_offered_set_does():
@@ -239,6 +258,28 @@ def test_integer_span_matches_the_fraction_span_on_coprime_denominators():
     full = _same_as_reference(_loop(1), _loop(3))
     assert full.equivalent
     assert full.basis_size == full.dimension - 1 == 3
+
+
+def test_sides_on_coprime_rate_denominators_join_on_their_common_multiple():
+    # the left's rates are thirds, the right's sevenths: a's exit rate 1
+    # is the key 3 on the left and 7 on the right, and 21 on both joined
+    for right, equivalent in (("<a,2/7>.<b,2>.0 + <a,5/7>.<c,1>.0", False),
+                              ("<a,2/7>.<b,2>.0 + <a,5/7>.<b,2>.0", True)):
+        lts1 = build_lts(parse_term("<a,1/3>.<b,2>.0 + <a,2/3>.<b,2>.0"))
+        lts2 = build_lts(parse_term(right))
+        scope = decider.scope_of(lts1, lts2)
+        together = embed_pair(lts1, lts2)
+        apart = (embed(lts1, scope), embed(lts2, scope))
+        assert together == apart
+        assert [auto.scale for auto in together] == [3, 7]
+        assert {key for auto in together for key in auto.rows} == {
+            (("a",), "a", 3), (("a",), "a", 7), (("b",), "b", 6), (("b",), "b", 14),
+            (("c",), "c", 7)} - ({(("c",), "c", 7)} if equivalent else set())
+        report = prob_language_equiv(*together)
+        assert report == _dense_fraction_span(*map(_fractions, apart))
+        assert report.equivalent == equivalent
+        if not equivalent:
+            assert [str(label) for label in report.witness_word] == ["<{a} a @1>", "<{b} b @2>"]
 
 
 def test_decide_deferred_choice_figure():

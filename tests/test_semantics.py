@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -9,7 +10,8 @@ from mpcalc import terms as t
 from mpcalc.axioms import RewriteStep, apply_law
 from mpcalc.errors import StateBoundExceeded
 from mpcalc.parser import parse_term
-from mpcalc.semantics import build_lts, derive_transitions, export_dot, export_json
+from mpcalc.corpus import deadlock_free_term, random_pairs
+from mpcalc.semantics import Transition, build_lts, derive_transitions, export_dot, export_json
 
 
 def _entries(source, law=None):
@@ -139,6 +141,63 @@ def test_lts_aggregates_and_bounds():
     assert tr.multiplicity == 2 and tr.aggregate == 2
     with pytest.raises(StateBoundExceeded):
         build_lts(parse_term("<a,1>.<b,1>.<a,1>.0"), state_bound=2)
+
+
+def _reference_build(term):
+    """Reference: the breadth-first build that alpha-normalizes every
+    state and makes each Transition as it goes."""
+    root = t.alpha_normalize(term)
+    states, index, outgoing = [root], {root: 0}, []
+    for state in states:  # grows as it is read: breadth-first
+        group = []
+        for (name, rate, target), count in derive_transitions(state):
+            target = t.alpha_normalize(target)
+            if target not in index:
+                index[target] = len(states)
+                states.append(target)
+            group.append(Transition(state, name, rate, target, count))
+        outgoing.append(group)
+    moves = [tuple((tr.name, tr.aggregate, index[tr.target]) for tr in group)
+             for group in outgoing]
+    return states, index, moves, outgoing
+
+
+def _binder_sample():
+    """Corpus terms with and without rec binders, built without the
+    parser, so binders keep the names the generator gave them."""
+    rng = Random(41)
+    terms = [deadlock_free_term(rng) for _ in range(30)]
+    terms += [side for sample in random_pairs(rng, 30, depth=3, max_states=10)
+              for side in (sample.left, sample.right)]
+    loop = t.Rec("Y", t.Prefix("b", t.Rate(Fraction(1, 2)), t.Var("Y")))
+    twice = t.Choice(t.Prefix("a", t.Rate(1), t.NIL), t.Prefix("a", t.Rate(1), t.NIL))
+    terms.append(t.Parallel(frozenset("a"), twice, t.Prefix("a", t.Rate.weight(2), loop)))
+    return terms
+
+
+def test_build_lts_matches_a_build_that_normalizes_every_state():
+    kinds = set()
+    for term in _binder_sample():
+        lts = build_lts(term)
+        states, index, moves, outgoing = _reference_build(term)
+        assert lts.states == states and lts.index == index
+        assert lts.moves == moves and lts.outgoing == outgoing
+        assert list(lts.transitions()) == [tr for group in outgoing for tr in group]
+        kinds.add(any(isinstance(node, t.Rec) for node in t.subterms(term)))
+    assert kinds == {True, False}
+
+
+def test_build_lts_of_a_binder_free_root_normalizes_nothing(monkeypatch):
+    calls = []
+    normalize = t.alpha_normalize
+    monkeypatch.setattr(t, "alpha_normalize", lambda term: calls.append(term) or normalize(term))
+    lts = build_lts(parse_term("(<a,7/5>.<b,1>.0 + <c,2>.0) |[b]| <b,*3>.<d,5/3>.0"))
+    assert len(lts.states) == 5 and calls == []
+    # a binder is renamed on every state that holds one
+    lts = build_lts(t.Rec("W", t.Prefix("e", t.Rate(Fraction(9, 7)), t.Prefix(
+        "f", t.Rate(1), t.Var("W")))))
+    assert len(lts.states) == 2 and len(calls) == 3
+    assert str(lts.root) == "rec X1 : <e,9/7>.<f,1>.X1"
 
 
 def test_performance_closed_detection():
