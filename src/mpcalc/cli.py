@@ -25,9 +25,8 @@ from .corpus import random_pairs, random_term
 from .decider import decide_equiv
 from .errors import CalcError
 from .parser import parse_formula, parse_term
-from .rates import avg_sojourn, rate_t
 from .semantics import build_lts, export_dot, export_json
-from .testing import canonical_tests, parse_test, prob_pass
+from .testing import FLAVORS, canonical_tests, parse_test, prob_pass
 
 # Past this many term nodes or tests, normalize, prove and gen-tests
 # refuse to print: a normal form shares its subterms, but its printed
@@ -123,10 +122,10 @@ def _cmd_lts(args, out: _Output) -> int:
         mark = "*" if i == 0 else " "
         note = ""
         if args.annotate_rates:
-            total = rate_t(state, 0)
-            sojourn = avg_sojourn(state)
-            shown = "inf" if sojourn == float("inf") else fmt_fraction(sojourn)
-            note = f"  [rate_t {fmt_fraction(total)}, sojourn {shown}]"
+            rates = out.result["rates"][i]
+            shown = [value if value == "inf" else fmt_fraction(Fraction(value["num"], value["den"]))
+                     for value in (rates["rate_t"], rates["sojourn"])]
+            note = f"  [rate_t {shown[0]}, sojourn {shown[1]}]"
         out.say(f"{mark} {i}: {state}{note}")
     for tr in lts.transitions():
         mult = f" [x{tr.multiplicity}]" if tr.multiplicity > 1 else ""
@@ -248,6 +247,7 @@ def _check_pair(payload: tuple[str, str, int]) -> bool:
 def _cmd_corpus(args, out: _Output) -> int:
     rng = Random(args.seed)
     names = tuple(n for n in args.names.split(",") if n)
+    t.require_names(names, "corpus name")
     if t.TAU in names or t.FAILURE_NAME in names:
         raise CalcError(f"--names must be visible names other than {t.FAILURE_NAME}")
     if not names and args.tau_free:
@@ -353,8 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-p", dest="process", required=True)
     p.add_argument("-t", dest="test", required=True)
     p.add_argument("--theta", default="", help="comma-separated rationals")
-    p.add_argument("--flavor", choices=("reactive", "liberal", "tau"),
-                   default="reactive")
+    p.add_argument("--flavor", choices=FLAVORS, default="reactive")
 
     p = sub.add_parser("eval-formula", parents=[common],
                        help="quantitative modal formula interpretation")

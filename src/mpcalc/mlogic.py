@@ -300,6 +300,7 @@ def enumerate_formulas(names: Iterable[str], formula_depth: int) -> list[Formula
     if formula_depth < 0:
         raise ValueError(f"formula depth must be at least 0, got {formula_depth}")
     ordered = sorted(set(names))
+    t.require_names(ordered, "diamond name")
     if t.TAU in ordered:
         raise NotWellFormed("diamond actions must be visible")
     if t.FAILURE_NAME in ordered:

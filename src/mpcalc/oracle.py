@@ -25,10 +25,11 @@ which no canonical test can differ (search_witness).  The
 loop skips, without measuring, every test whose success neither
 process can reach (InteractionProduct.can_pass): its measures are
 empty at every length on both sides and cannot differ.  It measures the
-other tests on the same two products, with one measure memo per side
-for the whole search, held weakly by test node: a continuation that
-many canonical tests share is measured once, and the entries of a
-consumed test go with its nodes.  The loop reads no test's term, so a
+other tests on the same two products for the whole search
+(InteractionProduct.measures), so a continuation that many canonical
+tests share is measured once per side, and what the products keep of
+a consumed test goes with its nodes.  This module keeps no memo of its
+own: it enumerates tests and compares their measures.  The loop reads no test's term, so a
 canonical test or a flavored variant of one builds its term only if it
 is returned as the witness.
 """
@@ -36,20 +37,16 @@ is returned as the witness.
 from __future__ import annotations
 
 import dataclasses as d
-from collections.abc import Callable, Iterable, Iterator, MutableMapping
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import product as cartesian
-from weakref import WeakKeyDictionary
 
 from . import terms as t
 from .computations import breakpoint_grid
 from .errors import CalcError
 from .semantics import LMTS, build_lts
-from .testing import (InteractionProduct, Test, TestState, canonical_tests, flavored_tests,
-                      node_memo)
-
-Vector = tuple[Fraction, ...]
-Measure = dict[Vector, Fraction]
+from .testing import (InteractionProduct, Measure, Test, Vector, canonical_tests,
+                      flavored_tests)
 
 
 def successful_measures(lts: LMTS, test: Test, max_len: int) -> list[Measure]:
@@ -57,38 +54,7 @@ def successful_measures(lts: LMTS, test: Test, max_len: int) -> list[Measure]:
     grouped by their stepwise sojourn-time vectors."""
     if max_len < 0:
         raise CalcError(f"computation length must be at least 0, got {max_len}")
-    return _measures(InteractionProduct(lts), {}, test.root, max_len)
-
-
-def _measures(product: InteractionProduct, memo: MutableMapping, root: TestState,
-              max_len: int, min_len: int = 0) -> list[Measure]:
-    """successful_measures of the test with this root on the product,
-    with the lengths below min_len left empty, not measured.  memo maps a
-    test node to its measures, keyed by (process state, seen, budget); a
-    search shares one across its tests."""
-    return [_measure(product, memo, 0, root, False, length) if length >= min_len else {}
-            for length in range(max_len + 1)]
-
-
-def _measure(product: InteractionProduct, memo: MutableMapping, state: int, node: TestState,
-             seen: bool, budget: int) -> Measure:
-    seen = seen or node.successful
-    if budget == 0:
-        return {(): Fraction(1)} if seen else {}
-    known = node_memo(memo, node)
-    key = (state, seen, budget)
-    out = known.get(key)
-    if out is not None:
-        return out
-    out = {}
-    if seen or product.can_succeed(state, node):
-        sojourn, branches = product.step(state, node)
-        for share, state2, node2 in branches:
-            for vector, mass in _measure(product, memo, state2, node2, seen, budget - 1).items():
-                key2 = (sojourn,) + vector
-                out[key2] = out.get(key2, Fraction(0)) + share * mass
-    known[key] = out
-    return out
+    return InteractionProduct(lts).measures(test.root, max_len)
 
 
 def passing_probability(measures: list[Measure], theta: Vector) -> Fraction:
@@ -135,16 +101,12 @@ def _search(lts1: LMTS, lts2: LMTS, tests: Iterable[Test], max_len: int,
     if not 0 <= min_len <= max_len:
         raise CalcError(f"first measured length must be in 0..{max_len}, got {min_len}")
     products = (InteractionProduct(lts1), InteractionProduct(lts2))
-    # one measure memo per side for the whole search, held weakly by test
-    # node, so that it keeps nothing of a consumed test
-    memos = (WeakKeyDictionary(), WeakKeyDictionary())
     checked = 0
     for checked, test in enumerate(tests, 1):
         root = test.root
         if not any(product.can_pass(root) for product in products):
             continue
-        found = differ(*[_measures(product, memo, root, max_len, min_len)
-                         for product, memo in zip(products, memos)])
+        found = differ(*[product.measures(root, max_len, min_len) for product in products])
         if found is not None:
             theta, left, right = found
             return OracleVerdict(False, test, theta, left, right, checked)

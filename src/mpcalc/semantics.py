@@ -259,21 +259,15 @@ def export_json(lts: LMTS, annotate_rates: bool = False) -> dict:
         ],
     }
     if annotate_rates:
-        from . import rates
-
-        annotations = []
-        for state in lts.states:
-            total = rates.rate_t(state, 0)
-            sojourn = rates.avg_sojourn(state)
-            annotations.append(
-                {
-                    "rate_t": {"num": total.numerator, "den": total.denominator},
-                    "sojourn": "inf"
-                    if sojourn == float("inf")
-                    else {"num": sojourn.numerator, "den": sojourn.denominator},
-                }
-            )
-        data["rates"] = annotations
+        # per state, its exit rate (the sum of its exponential moves) and
+        # its mean sojourn time 1 / rate, inf when it has no such move
+        data["rates"] = []
+        for group in lts.rows:
+            total = sum((rate.value * count for _, rate, _, count in group if not rate.passive),
+                        Fraction(0))
+            data["rates"].append({
+                "rate_t": {"num": total.numerator, "den": total.denominator},
+                "sojourn": {"num": total.denominator, "den": total.numerator} if total else "inf"})
     return data
 
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 import dataclasses as d
 from fractions import Fraction
 from operator import is_
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import NotWellFormed, ReservedNameError
+from .errors import CalcError, NotWellFormed, ReservedNameError
 
 TAU = "tau"
 FAILURE_NAME = "z"
@@ -324,6 +324,14 @@ def require_analyzable(term: ProcessTerm, *, allow_failure_name: bool = False) -
     if failure and not allow_failure_name:
         raise ReservedNameError(f"name {FAILURE_NAME!r} is reserved for tests")
     return binder
+
+
+def require_names(names: Iterable[str], what: str) -> None:
+    """Raise CalcError unless every name is one the grammar can read: an
+    ASCII identifier, [A-Za-z_][A-Za-z0-9_]*.  what says what a name is."""
+    for name in names:
+        if not (name.isascii() and name.isidentifier()):
+            raise CalcError(f"{what} {name!r} is not an identifier")
 
 
 def substitute(term: ProcessTerm, var: str, replacement: ProcessTerm) -> ProcessTerm:

@@ -31,10 +31,11 @@ nodes on the path to it, and builds its term when read, as a canonical
 test does.  _term_of is the one place that builds a term from states.
 It also owns the interaction product: InteractionProduct steps a
 process LMTS and a test's states together by its one move rule, and
-memoizes, held weakly by test node, its steps and which product states
-can still reach success.  prob_pass (one forward pass, pruned by
-theta), the oracle's successful_measures and its witness search all run
-on it and prune on that memo.
+measures a test's successful computations by length and sojourn-time
+vector.  It keeps one record per test node, held weakly, of the node's
+steps, of which product states can still reach success and of its
+measures.  prob_pass (one forward pass, pruned by theta) and the
+oracle's successful_measures and witness search all run on it.
 The term-level route (interaction, interaction_lts,
 successful_computations, then computations.prob_set) composes the
 interaction term and enumerates its computations one by one; it follows
@@ -45,13 +46,14 @@ compares against.
 from __future__ import annotations
 
 import dataclasses as d
-from collections.abc import Iterable, Iterator, MutableMapping
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 from . import terms as t
-from .computations import Computation, Theta, enumerate_computations
+from .computations import Computation, Theta, enumerate_computations, make_theta
 from .errors import CalcError, NotPerformanceClosed, NotWellFormed, ReservedNameError
 from .parser import parse_test_body
 from .semantics import LMTS, build_lts
@@ -225,15 +227,20 @@ def successful_computations(
 
 # (mean sojourn time or None, ((probability, process state, test node), ...))
 Step = tuple[Fraction | None, tuple[tuple[Fraction, int, TestState], ...]]
+Vector = tuple[Fraction, ...]
+# probability mass of the successful computations of one exact length, by
+# their stepwise sojourn-time vectors
+Measure = dict[Vector, Fraction]
 
 
-def node_memo(memo: MutableMapping[TestState, dict], node: TestState) -> dict:
-    """The entries that memo holds for the test node.  In a
-    WeakKeyDictionary they live as long as the node does."""
-    entries = memo.get(node)
-    if entries is None:
-        entries = memo[node] = {}
-    return entries
+class _NodeRecord(NamedTuple):
+    """What a product knows about one test node: its steps and whether it
+    can still reach success, keyed by process state, and its measures,
+    keyed by (process state, success seen, steps left)."""
+
+    steps: dict[int, Step]
+    reach: dict[int, bool]
+    measures: dict[tuple[int, bool, int], Measure]
 
 
 class InteractionProduct:
@@ -250,18 +257,17 @@ class InteractionProduct:
     can_succeed says whether a product state can still reach a successful
     test node.  Most tests of a witness search cannot be passed: their
     success path asks for names in an order that the process never
-    offers.  The search skips them, and prob_pass and successful_measures
-    drop the states that carry no successful mass.  The process's tau
-    moves, which leave the test node where it is, are folded into a
-    per-state closure, so the recursion only goes down the test and ends.
+    offers.  The search skips them, and prob_pass and measures drop the
+    states that carry no successful mass.  The process's tau moves, which
+    leave the test node where it is, are folded into a per-state closure,
+    so the recursion only goes down the test and ends.
 
-    The steps and the answers of can_succeed are memoized by test node,
-    held weakly (node_memo): canonical tests share the nodes of their
-    continuations, so the memos answer for them across tests, and the
-    entries of a node go when the node does, so a search keeps nothing
-    of a test it has consumed.  can_pass asks can_succeed about a test's
-    root from the initial state but stores no answer for the root itself:
-    a witness search asks it once about each of tens of thousands of new
+    The product keeps one _NodeRecord per test node, held weakly by the
+    node: canonical tests share the nodes of their continuations, so a
+    record answers for them across tests, and a search keeps nothing of a
+    test it has consumed.  can_pass asks can_succeed about a test's root
+    from the initial state but stores no answer for the root itself: a
+    witness search asks it once about each of tens of thousands of new
     roots and measures few of them, and storing those answers made a
     68,738-test search about 1.5 times slower.
     """
@@ -270,20 +276,25 @@ class InteractionProduct:
         if not lts.performance_closed:
             raise NotPerformanceClosed("the process under test is not performance-closed")
         self._moves = lts.moves
-        self._steps: WeakKeyDictionary[TestState, dict[int, Step]] = WeakKeyDictionary()
+        self._records: WeakKeyDictionary[TestState, _NodeRecord] = WeakKeyDictionary()
         self._closures: dict[int, tuple[int, ...]] = {}
-        self._reach: WeakKeyDictionary[TestState, dict[int, bool]] = WeakKeyDictionary()
+
+    def _record(self, node: TestState) -> _NodeRecord:
+        record = self._records.get(node)
+        if record is None:
+            record = self._records[node] = _NodeRecord({}, {}, {})
+        return record
 
     def step(self, state: int, node: TestState) -> Step:
         """Mean sojourn time of the product state, None when it has no
         move, and its branches (probability, process state, test node)."""
-        steps = node_memo(self._steps, node)
+        steps = self._record(node).steps
         known = steps.get(state)
         if known is None:
             step = self._step(state, node)
             # the entry names the node itself, which a tau move of the
             # process leaves in place, as None: an entry that held its
-            # own node would keep the node, and so the entry, alive
+            # own node would keep the node, and so the record, alive
             steps[state] = step[0], tuple([(share, state2, None if node2 is node else node2)
                                            for share, state2, node2 in step[1]])
             return step
@@ -324,7 +335,7 @@ class InteractionProduct:
         successful test node."""
         if node.successful or not node.live:
             return node.successful
-        reach = node_memo(self._reach, node)
+        reach = self._record(node).reach
         known = reach.get(state)
         if known is None:
             known = reach[state] = self._succeeds_below(state, node)
@@ -359,6 +370,31 @@ class InteractionProduct:
             closure = self._closures[state] = tuple(seen)
         return closure
 
+    def measures(self, root: TestState, max_len: int, min_len: int = 0) -> list[Measure]:
+        """The Measure of the test with this root at each length up to
+        max_len; the lengths below min_len are left empty, not measured."""
+        return [self._measure(0, root, False, length) if length >= min_len else {}
+                for length in range(max_len + 1)]
+
+    def _measure(self, state: int, node: TestState, seen: bool, budget: int) -> Measure:
+        seen = seen or node.successful
+        if budget == 0:
+            return {(): Fraction(1)} if seen else {}
+        known = self._record(node).measures
+        key = (state, seen, budget)
+        out = known.get(key)
+        if out is not None:
+            return out
+        out = {}
+        if seen or self.can_succeed(state, node):
+            sojourn, branches = self.step(state, node)
+            for share, state2, node2 in branches:
+                for vector, mass in self._measure(state2, node2, seen, budget - 1).items():
+                    key2 = (sojourn,) + vector
+                    out[key2] = out.get(key2, Fraction(0)) + share * mass
+        known[key] = out
+        return out
+
 
 def prob_pass(process: t.ProcessTerm, test: Test, theta: Theta, state_bound: int = 10000) -> Fraction:
     """Probability of passing the test within the stepwise bounds theta.
@@ -379,6 +415,7 @@ def prob_pass(process: t.ProcessTerm, test: Test, theta: Theta, state_bound: int
     performance-closed; build_lts raises its CalcError for the first
     three, and NotPerformanceClosed is raised for the last.
     """
+    theta = make_theta(theta)
     lts = build_lts(process, state_bound=state_bound)
     product = InteractionProduct(lts)
     frontier = {(0, test.root, test.root.successful): Fraction(1)}
@@ -417,11 +454,7 @@ def canonical_tests(names, depth: int) -> Iterator[Test]:
     if depth < 0:
         raise CalcError(f"test depth must be at least 0, got {depth}")
     universe = sorted(set(names))
-    for name in universe:
-        # an ASCII identifier is what the grammar reads as a name:
-        # [A-Za-z_][A-Za-z0-9_]*
-        if not (name.isascii() and name.isidentifier()):
-            raise CalcError(f"environment name {name!r} is not an identifier")
+    t.require_names(universe, "environment name")
     if t.TAU in universe or t.FAILURE_NAME in universe:
         raise ReservedNameError("environment names must be visible and distinct from z")
     environments = [

@@ -196,6 +196,19 @@ def test_gen_tests_refuses_names_the_grammar_cannot_read(capsys, names):
     assert code == 2 and out == "" and "not an identifier" in err
 
 
+def test_corpus_refuses_names_the_grammar_cannot_read(capsys):
+    # " b" would be printed into terms that parse back over b, and 1a into
+    # terms that do not parse at all
+    for names in ("a, b", "1a"):
+        code, out, err = run(capsys, "corpus", "--names", names, "--count", "1")
+        assert code == 2 and out == "" and "not an identifier" in err
+    code, out, _ = run(capsys, "corpus", "--names", "a,b", "--count", "3", "--seed", "3")
+    assert code == 0 and out.splitlines() == [
+        "<tau,1>.<tau,2>.(0 + 0)",
+        "<a,1/3>.0[a->b,b->a] |[a,b]| (0 + 0) / {a,b}",
+        "<tau,1/2>.<a,1/3>.(0 |[]| 0)"]
+
+
 def test_gen_tests_negative_depth_exits_two(capsys):
     code, out, err = run(capsys, "gen-tests", "-E", "a", "--depth", "-1")
     assert code == 2 and out == "" and err.startswith("error:")

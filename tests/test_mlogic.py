@@ -41,6 +41,13 @@ def test_failure_name_is_reserved_in_formulas():
             ml.enumerate_formulas(["z", "a"], depth)
 
 
+@pytest.mark.parametrize("name", ["a b", " b", "1a", "ä"])
+def test_formula_names_must_be_identifiers(name):
+    # the grammar cannot read such a name back from a printed formula
+    with pytest.raises(CalcError, match="not an identifier"):
+        ml.enumerate_formulas(["a", name], 1)
+
+
 def test_formulas_hash_by_value_and_survive_pickling():
     formula = parse_formula("<a><b>true \\/ <b>true")
     twin = parse_formula("<a><b>true \\/ <b>true")

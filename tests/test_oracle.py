@@ -4,12 +4,11 @@ import gc
 import weakref
 from fractions import Fraction
 from random import Random
-from weakref import WeakKeyDictionary
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mpcalc import oracle, terms as t
+from mpcalc import terms as t
 from mpcalc.corpus import random_pair, random_pairs, random_term
 from mpcalc.decider import decide_equiv
 from mpcalc.errors import CalcError
@@ -172,9 +171,10 @@ def test_skipping_tests_neither_side_can_pass_changes_no_answer(seed, flavor, lo
        st.sampled_from([None, 1, 3]))
 @example(9, "liberal", None)  # a node measured both before and after success
 def test_measures_on_a_shared_memo_match_fresh_products(seed, flavor, loop):
-    # a search measures its tests on one product and one memo per side;
-    # each test's measures must be those of a fresh product and memo on
-    # a test indexed afresh from the term read back from its states
+    # a search measures its tests on one product per side, which keeps
+    # what it learns of each test node; each test's measures must be those
+    # of a fresh product on a test indexed afresh from the term read back
+    # from its states
     rng = Random(seed)
     process = random_term(rng, depth=3, max_states=8)
     if loop is not None:
@@ -182,26 +182,31 @@ def test_measures_on_a_shared_memo_match_fresh_products(seed, flavor, loop):
     lts = build_lts(process)
     tests = list(flavored_tests(canonical_tests(["a", "b"], 2), flavor))
     rng.shuffle(tests)
-    product, memo = InteractionProduct(lts), WeakKeyDictionary()
+    product = InteractionProduct(lts)
     for test in rng.sample(tests, len(tests) // 2):
-        assert (oracle._measures(product, memo, test.root, 3)
+        assert (product.measures(test.root, 3)
                 == successful_measures(lts, make_test(test.term, flavor), 3))
 
 
 def test_the_memos_keep_nothing_of_a_consumed_test():
-    # the memos hold test nodes weakly, so a search's memory stays
-    # bounded: once a test is dropped its entries go, also the step of a
-    # node that a tau move of the process leaves in place
+    # the product holds its record of each test node weakly, so a
+    # search's memory stays bounded: once a test is dropped its records
+    # go, also the one whose step a tau move of the process leaves at its
+    # own node
     lts = build_lts(parse_term("rec X : <tau,1>.X + <a,2>.<b,1>.0"))
-    product, memo = InteractionProduct(lts), WeakKeyDictionary()
+    product = InteractionProduct(lts)
     test = make_test(parse_test_body("<a,*1>.(<b,*1>.s + s)"), "liberal")
     # a then b; or tau, then a into the successful node
-    assert oracle._measures(product, memo, test.root, 3)[2] == {
+    assert product.measures(test.root, 3)[2] == {
         (Fraction(1, 3), Fraction(1)): Fraction(2, 3),
         (Fraction(1, 3), Fraction(1, 3)): Fraction(2, 9)}
-    assert len(memo) and len(product._steps) and len(product._reach)
-    del test
-    assert len(memo) == len(product._steps) == len(product._reach) == 0
+    records = list(product._records.values())
+    assert all(any(getattr(record, memo) for record in records)
+               for memo in ("steps", "reach", "measures"))
+    assert any(node is None for record in records for _, branches in record.steps.values()
+               for _, _, node in branches)
+    del test, records
+    assert len(product._records) == 0
 
 
 @pytest.mark.parametrize("flavor", ["liberal", "tau"])
@@ -225,13 +230,15 @@ def test_most_tests_of_a_deep_witness_are_skipped(monkeypatch):
     left = parse_term("<c,4/3>.<a,9>.<d,8>.<c,5/3>.0")
     right = parse_term("<c,4/3>.<a,9>.<d,8>.<c,8/3>.0")
     calls = []
-    measures = oracle._measures
-    monkeypatch.setattr(oracle, "_measures", lambda *args: calls.append(args) or measures(*args))
+    measures = InteractionProduct.measures
+    monkeypatch.setattr(InteractionProduct, "measures", lambda product, root, *args: (
+        calls.append((product, root)) or measures(product, root, *args)))
     verdict = bounded_testing_oracle(left, right, depth=4)
     assert not verdict.equivalent
     # one call for each side of each measured test
-    measured = len(calls) // 2
-    assert len({id(args[2]) for args in calls}) == measured > 0
+    measured = len({id(root) for _, root in calls})
+    assert len({(id(product), id(root)) for product, root in calls}) == len(calls)
+    assert len(calls) == 2 * measured > 0
     assert verdict.tests_checked > 20 * measured
     # the witness carries its whole index, and so does a fresh copy of it
     theta = verdict.witness_theta

@@ -13,10 +13,10 @@ from mpcalc import terms as t
 from mpcalc.computations import filter_le_theta, filter_len, prob_set
 from mpcalc.corpus import random_term
 from mpcalc.errors import CalcError, NotPerformanceClosed, NotWellFormed, ReservedNameError
-from mpcalc.mlogic import enumerate_formulas, formula_test
+from mpcalc.mlogic import enumerate_formulas, eval as eval_formula, formula_test
 from mpcalc import testing
 from mpcalc.oracle import bounded_testing_oracle, passing_probability, successful_measures
-from mpcalc.parser import parse_term, parse_test_body
+from mpcalc.parser import parse_formula, parse_term, parse_test_body
 from mpcalc.semantics import build_lts, derive_transitions
 from mpcalc.testing import (canonical_tests, flavored_tests, interaction, make_test,
                             parse_test, prob_pass, successful_computations)
@@ -375,9 +375,23 @@ def test_can_succeed_matches_a_search_over_the_product(seed, loop, family):
     product = testing.InteractionProduct(build_lts(process))
     for test in family:
         expected = _reaches_success(product, test.root)
-        # the search's skip question stores no answer for the root
-        assert product.can_pass(test.root) == expected and test.root not in product._reach
+        # the search's skip question stores no answer for the root, whose
+        # record the search above may have made for its steps
+        passed, record = product.can_pass(test.root), product._records.get(test.root)
+        assert passed == expected and (record is None or not record.reach)
         assert product.can_succeed(0, test.root) == expected
+
+
+@pytest.mark.parametrize("theta", [(0,), (-1,)])
+def test_prob_pass_refuses_bounds_that_are_not_positive(theta):
+    # as eval_formula does, with the same error
+    process, test = parse_term("<a,1>.0"), parse_test("<a,*1>.s")
+    with pytest.raises(ValueError) as formula_error:
+        eval_formula(process, theta, parse_formula("<a>true"))
+    with pytest.raises(ValueError) as test_error:
+        prob_pass(process, test, theta)
+    assert (type(test_error.value), str(test_error.value)) == (
+        type(formula_error.value), str(formula_error.value))
 
 
 def test_prob_pass_long_theta_on_tau_loops():
