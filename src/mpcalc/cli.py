@@ -116,21 +116,21 @@ def _cmd_lts(args, out: _Output) -> int:
         out.say(text)
         out.result = {"dot": text}
         return 0
-    out.result = export_json(lts, annotate_rates=args.annotate_rates)
-    out.say(f"states: {len(lts.states)}")
-    for i, state in enumerate(lts.states):
+    doc = out.result = export_json(lts, annotate_rates=args.annotate_rates)
+    out.say(f"states: {len(doc['states'])}")
+    for i, state in enumerate(doc["states"]):
         mark = "*" if i == 0 else " "
         note = ""
         if args.annotate_rates:
-            rates = out.result["rates"][i]
+            rates = doc["rates"][i]
             shown = [value if value == "inf" else fmt_fraction(Fraction(value["num"], value["den"]))
                      for value in (rates["rate_t"], rates["sojourn"])]
             note = f"  [rate_t {shown[0]}, sojourn {shown[1]}]"
         out.say(f"{mark} {i}: {state}{note}")
-    for tr in lts.transitions():
-        mult = f" [x{tr.multiplicity}]" if tr.multiplicity > 1 else ""
-        out.say(f"  {lts.index[tr.source]} --{tr.name},{tr.rate}{mult}--> "
-                f"{lts.index[tr.target]}")
+    for i, group in enumerate(lts.rows):
+        for name, rate, j, count in group:
+            mult = f" [x{count}]" if count > 1 else ""
+            out.say(f"  {i} --{name},{rate}{mult}--> {j}")
     return 0
 
 

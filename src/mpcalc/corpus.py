@@ -53,7 +53,7 @@ def _analyzable(term: t.ProcessTerm, max_states: int, tau: bool = True) -> LMTS 
         lts = build_lts(term, state_bound=max(max_states, 2))
     except CalcError:
         return None
-    if not tau and any(tr.name == t.TAU for tr in lts.transitions()):
+    if not tau and any(row[0] == t.TAU for group in lts.rows for row in group):
         return None
     return lts if lts.performance_closed and len(lts.states) <= max_states else None
 

@@ -100,9 +100,14 @@ Vector = tuple[int, ...]
 Key = tuple[tuple[str, ...], str, int]
 
 
+def _shown(offered: tuple[str, ...], name: str) -> tuple[str, ...]:
+    """The offered names, with tau for a tau step."""
+    return tuple(sorted(offered + (t.TAU,))) if name == t.TAU else offered
+
+
 def _sort_key(offered: tuple[str, ...], name: str, rate):
     # smaller sets first, so a word keeps to the names it needs
-    shown = tuple(sorted(offered + (t.TAU,))) if name == t.TAU else offered
+    shown = _shown(offered, name)
     return (len(shown), shown, name, rate)
 
 
@@ -118,8 +123,7 @@ class AugmentedLabel:
 
     @property
     def shown(self) -> tuple[str, ...]:
-        """The offered names, with tau for a tau step."""
-        return tuple(sorted(self.offered + (t.TAU,))) if self.name == t.TAU else self.offered
+        return _shown(self.offered, self.name)
 
     @property
     def sort_key(self):
@@ -409,31 +413,14 @@ def decide_equiv(
             raise NotPerformanceClosed(f"{which} process is not performance-closed")
     a1, a2 = embed_pair(lts1, lts2)
     report = prob_language_equiv(a1, a2)
-    sizes = (len(lts1.states), len(lts2.states))
-    if report.equivalent:
-        return Verdict(
-            True,
-            basis_size=report.basis_size,
-            dimension=report.dimension,
-            state_counts=sizes,
-        )
-    witness_test = None
-    witness_theta = None
-    length = len(report.witness_word)
-    if with_test_witness and length <= SEARCH_LENGTH and (
-            length <= SEARCH_DEPTH
-            or any(name == t.TAU for auto in (a1, a2) for _, name, _ in auto.rows)):
+    witness_test = witness_theta = None
+    length = len(report.witness_word or ())
+    # scope_of keys tau exactly when either LMTS moves on tau
+    if (not report.equivalent and with_test_witness and length <= SEARCH_LENGTH
+            and (length <= SEARCH_DEPTH or t.TAU in a1.scope)):
         tests = environment_tests(lts1, lts2, max(1, min(length, SEARCH_DEPTH)))
-        verdict = search_witness(lts1, lts2, tests, max(1, length), length)
-        if not verdict.equivalent:
-            witness_test = verdict.witness_test
-            witness_theta = verdict.witness_theta
-    return Verdict(
-        False,
-        witness_word=report.witness_word,
-        witness_test=witness_test,
-        witness_theta=witness_theta,
-        basis_size=report.basis_size,
-        dimension=report.dimension,
-        state_counts=sizes,
-    )
+        found = search_witness(lts1, lts2, tests, max(1, length), length)
+        witness_test, witness_theta = found.witness_test, found.witness_theta
+    return Verdict(report.equivalent, report.witness_word, witness_test, witness_theta,
+                   report.basis_size, report.dimension,
+                   (len(lts1.states), len(lts2.states)))

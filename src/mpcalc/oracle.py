@@ -15,7 +15,7 @@ prob_pass also runs on, instead of composing interaction terms.  The
 slower term-level route in the testing module is kept as the reference
 and the two are cross-checked in the test suite.
 
-_search is the one test loop.  search_witness runs it with the minimal
+_search is the one test loop.  search_witness runs it with the least
 differing vector as its comparison, old_style_oracle with a sweep over a
 breakpoint grid.  The oracles run it on the LMTSs they build from the
 terms; the decider runs search_witness on the LMTSs it decided on, to
@@ -114,8 +114,10 @@ def _search(lts1: LMTS, lts2: LMTS, tests: Iterable[Test], max_len: int,
 
 
 def _first_difference(m1: list[Measure], m2: list[Measure]) -> tuple | None:
-    """A minimal differing vector of the shortest length at which the
-    measures differ, with both passing probabilities there."""
+    """The lexicographically least differing vector of the shortest length
+    at which the measures differ, with both passing probabilities there.
+    It is minimal pointwise: a differing vector below it would come
+    first."""
     for length1, length2 in zip(m1, m2):
         if length1 == length2:
             continue
@@ -124,13 +126,8 @@ def _first_difference(m1: list[Measure], m2: list[Measure]) -> tuple | None:
             for v in set(length1) | set(length2)
             if length1.get(v, Fraction(0)) != length2.get(v, Fraction(0))
         ]
-        minimal = [
-            v
-            for v in support
-            if not any(u != v and all(u[i] <= v[i] for i in range(len(v))) for u in support)
-        ]
-        if minimal:
-            theta = min(minimal)
+        if support:
+            theta = min(support)
             return theta, passing_probability(m1, theta), passing_probability(m2, theta)
     return None
 
@@ -139,9 +136,10 @@ def search_witness(lts1: LMTS, lts2: LMTS, tests: Iterable[Test], max_len: int,
                    min_len: int = 0) -> OracleVerdict:
     """Run the tests in order against both processes and return the first
     one whose successful-computation measures differ at some length from
-    min_len up to max_len, with a minimal differing vector of the shortest
-    such length as theta.  tests_checked counts the tests taken from the
-    iterable, the ones that neither process can pass included.
+    min_len up to max_len, with the lexicographically least differing
+    vector of the shortest such length as theta, which is also minimal
+    pointwise (_first_difference).  tests_checked counts the tests taken
+    from the iterable, the ones that neither process can pass included.
 
     Lengths below min_len are not measured.  The decider passes the
     length L of its shortest differing label word, which is sound for
@@ -202,12 +200,8 @@ def old_style_oracle(
 def _cumulative(measures: list[Measure], theta: Vector) -> Fraction:
     """Mass of the successful computations of every length up to |theta|
     whose vector is dominated by theta on its own length."""
-    total = Fraction(0)
-    for length in range(min(len(theta), len(measures) - 1) + 1):
-        for vector, mass in measures[length].items():
-            if all(vector[i] <= theta[i] for i in range(length)):
-                total += mass
-    return total
+    return sum((passing_probability(measures, theta[:length])
+                for length in range(min(len(theta), len(measures) - 1) + 1)), Fraction(0))
 
 
 def _cumulative_witness(m1: list[Measure], m2: list[Measure]) -> tuple | None:

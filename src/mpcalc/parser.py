@@ -131,9 +131,10 @@ def _parse_name_list(stream: _Stream, closing: str) -> frozenset[str]:
     names: set[str] = set()
     if not stream.check(closing):
         while True:
+            tok = stream.current
             name = stream.ident()
             if name == t.TAU:
-                raise stream.error("tau may not appear in a name set")
+                raise stream.error_at(tok, "tau may not appear in a name set")
             names.add(name)
             if not stream.accept(","):
                 break
@@ -185,9 +186,11 @@ class _TermParser:
                 start = self.stream.current
                 old = self.stream.ident()
                 self.stream.expect("->")
+                end = self.stream.current
                 new = self.stream.ident()
                 if t.TAU in (old, new):
-                    raise self.stream.error("relabeling must keep tau fixed")
+                    raise self.stream.error_at(start if old == t.TAU else end,
+                                               "relabeling must keep tau fixed")
                 if targets.setdefault(old, new) != new:
                     raise self.stream.error_at(
                         start, f"{old} is relabeled to both {targets[old]} and {new}")
@@ -269,9 +272,10 @@ def parse_formula(source: str):
         if stream.accept("true"):
             return mlogic.TRUE
         if stream.accept("<"):
+            tok = stream.current
             name = stream.ident("action name")
             if name == t.TAU:
-                raise stream.error("diamond names must be visible")
+                raise stream.error_at(tok, "diamond names must be visible")
             stream.expect(">")
             return mlogic.Diamond(name, head())
         if stream.accept("("):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable, Collection
 
 from . import terms as t
-from .semantics import _normal, derive_transitions
+from .semantics import derive_transitions
 
 EXPONENTIAL = 0
 PASSIVE = -1
@@ -38,7 +38,7 @@ def rate_e(term: t.ProcessTerm, name: str, level: int, destination: Destination)
     for (a, rate, target), count in derive_transitions(term):
         if a != name or rate.passive != passive:
             continue
-        if _accepts(destination, _normal(target)):
+        if _accepts(destination, t.alpha_normalize(target)):
             total += rate.value * count
     return total
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses as d
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from . import terms as t
@@ -58,8 +58,8 @@ def _derive(term: t.ProcessTerm) -> Counter[Entry]:
         out[(term.name, term.rate, term.body)] = 1
         return out
     if isinstance(term, t.Choice):
-        out.update(_derive_cached(term.left))
-        out.update(_derive_cached(term.right))
+        out.update(dict(derive_transitions(term.left)))
+        out.update(dict(derive_transitions(term.right)))
         return out
     if isinstance(term, t.Parallel):
         moves = compose_parallel(term, derive_transitions(term.left),
@@ -75,13 +75,9 @@ def _derive(term: t.ProcessTerm) -> Counter[Entry]:
         if not t.check_wellformed(term).guarded:
             raise NotWellFormed(f"unguarded recursion on {term.var}")
         unfolded = t.substitute(term.body, term.var, term)
-        out.update(_derive_cached(unfolded))
+        out.update(dict(derive_transitions(unfolded)))
         return out
     raise TypeError(f"not a process term: {term!r}")
-
-
-def _derive_cached(term: t.ProcessTerm) -> Counter[Entry]:
-    return Counter(dict(derive_transitions(term)))
 
 
 def compose_parallel(
@@ -124,11 +120,6 @@ def compose_parallel(
                 yield (name, rate, t.Parallel(sync, ltarget, rtarget)), lcount * rcount
 
 
-@lru_cache(maxsize=None)
-def _normal(term: t.ProcessTerm) -> t.ProcessTerm:
-    return t.alpha_normalize(term)
-
-
 @d.dataclass(frozen=True)
 class Transition:
     source: t.ProcessTerm
@@ -153,9 +144,11 @@ class LMTS:
 
     rows is the table that build_lts fills: per state index, one (name,
     rate, target index, multiplicity) row per aggregated transition, in
-    derivation order.  moves, performance_closed and visible_names read
-    it; outgoing and transitions() give the same transitions as
-    Transition objects, made when outgoing is first read."""
+    derivation order.  moves, performance_closed, visible_names and the
+    exports read it by index.  outgoing and transitions() give the same
+    transitions as Transition objects, made when outgoing is first read,
+    for the term-level reference route of the computations module; index
+    maps a state term back to its index, for state_of."""
 
     root: t.ProcessTerm
     states: list[t.ProcessTerm]
@@ -187,7 +180,7 @@ class LMTS:
                 for group in self.rows]
 
     def state_of(self, term: t.ProcessTerm) -> int:
-        return self.index[_normal(term)]
+        return self.index[t.alpha_normalize(term)]
 
     @cached_property
     def performance_closed(self) -> bool:
@@ -201,7 +194,10 @@ class LMTS:
 def build_lts(
     term: t.ProcessTerm, state_bound: int = 10000, *, allow_failure_name: bool = False
 ) -> LMTS:
-    """Breadth-first state-space construction.
+    """Breadth-first state-space construction: state 0 is the root, and
+    the states follow in the order they are found.  A root with a rec
+    binder has its states alpha-normalized, each distinct term once per
+    build.
 
     Raises StateBoundExceeded when more than state_bound states are reached,
     which signals likely divergence such as rec X : <a,1>.(X |[]| X).
@@ -209,30 +205,27 @@ def build_lts(
     # Derivation unfolds only the binders a term holds, so every state of
     # a binder-free root is binder-free and already alpha-normal.
     binder = t.require_analyzable(term, allow_failure_name=allow_failure_name)
-    root = _normal(term) if binder else term
+    normal = cache(t.alpha_normalize)  # for this build only
+    root = normal(term) if binder else term
     states = [root]
     index = {root: 0}
     rows: list[tuple[Row, ...]] = []
-    frontier = [root]
-    while frontier:
-        next_frontier: list[t.ProcessTerm] = []
-        for state in frontier:
-            group: list[Row] = []
-            for (name, rate, target), count in derive_transitions(state):
-                if binder:
-                    target = _normal(target)
-                j = index.get(target)
-                if j is None:
-                    if len(states) >= state_bound:
-                        raise StateBoundExceeded(
-                            f"more than {state_bound} states reachable from {term}"
-                        )
-                    j = index[target] = len(states)
-                    states.append(target)
-                    next_frontier.append(target)
-                group.append((name, rate, j, count))
-            rows.append(tuple(group))
-        frontier = next_frontier
+    # states grows as it is read: it is the breadth-first queue
+    for state in states:
+        group: list[Row] = []
+        for (name, rate, target), count in derive_transitions(state):
+            if binder:
+                target = normal(target)
+            j = index.get(target)
+            if j is None:
+                if len(states) >= state_bound:
+                    raise StateBoundExceeded(
+                        f"more than {state_bound} states reachable from {term}"
+                    )
+                j = index[target] = len(states)
+                states.append(target)
+            group.append((name, rate, j, count))
+        rows.append(tuple(group))
     return LMTS(root=root, states=states, index=index, rows=rows)
 
 
@@ -248,14 +241,8 @@ def export_json(lts: LMTS, annotate_rates: bool = False) -> dict:
     data = {
         "states": [t.pretty(s) for s in lts.states],
         "transitions": [
-            {
-                "src": lts.index[tr.source],
-                "name": tr.name,
-                "rate": _rate_json(tr.rate),
-                "tgt": lts.index[tr.target],
-                "mult": tr.multiplicity,
-            }
-            for tr in lts.transitions()
+            {"src": i, "name": name, "rate": _rate_json(rate), "tgt": j, "mult": count}
+            for i, group in enumerate(lts.rows) for name, rate, j, count in group
         ],
     }
     if annotate_rates:
@@ -279,11 +266,9 @@ def export_dot(lts: LMTS) -> str:
     for i, state in enumerate(lts.states):
         shape = "doublecircle" if i == 0 else "circle"
         lines.append(f"  n{i} [shape={shape}, label={quote(t.pretty(state))}];")
-    for tr in lts.transitions():
-        mult = f" [x{tr.multiplicity}]" if tr.multiplicity > 1 else ""
-        label = f"{tr.name}, {tr.rate}{mult}"
-        lines.append(
-            f"  n{lts.index[tr.source]} -> n{lts.index[tr.target]} [label={quote(label)}];"
-        )
+    for i, group in enumerate(lts.rows):
+        for name, rate, j, count in group:
+            mult = f" [x{count}]" if count > 1 else ""
+            lines.append(f"  n{i} -> n{j} [label={quote(f'{name}, {rate}{mult}')}];")
     lines.append("}")
     return "\n".join(lines)

@@ -188,7 +188,6 @@ def interaction(process: t.ProcessTerm, test: Test, state_bound: int = 10000) ->
     The process must be performance-closed on its own; a blocked passive
     action would otherwise vanish silently from the composition.
     """
-    t.require_analyzable(process)
     if not build_lts(process, state_bound=state_bound).performance_closed:
         raise NotPerformanceClosed("the process under test is not performance-closed")
     sync = t.visible_names(process) | t.visible_names(test.term) | {t.FAILURE_NAME}

@@ -54,6 +54,12 @@ def test_apply_law_error_cases():
     lhs, _ = a4_violation(Random(5))
     with pytest.raises(LawError):
         apply_law(lhs, RewriteStep("A4"))  # unequal cumulative rates
+    with pytest.raises(LawError, match="unknown law 'A16'"):
+        apply_law(pair, RewriteStep("A16"))
+    with pytest.raises(LawError, match="unknown direction 'up'"):
+        apply_law(pair, RewriteStep("A1", direction="up"))
+    with pytest.raises(LawError, match="A4 is applied left-to-right only"):
+        apply_law(parse_term("<a,1>.0 + <a,2>.0"), RewriteStep("A4", direction="rl"))
 
 
 def test_expand_static_flattens():

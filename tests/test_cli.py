@@ -328,11 +328,13 @@ def test_usage_error_exits_two(capsys):
 
 def test_deep_terms_exit_two_without_traceback(capsys):
     chain = "<a,1>." * 1000 + "0"
+    nested = "(" * 3000 + "0" + ")" * 3000
     for argv in (("parse", chain),
-                 ("check-equiv", "-p1", chain, "-p2", chain, "--no-witness-test")):
+                 ("check-equiv", "-p1", chain, "-p2", chain, "--no-witness-test"),
+                 ("parse", nested)):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert err.startswith("error:") and "Traceback" not in err
+        assert err.startswith("error: term nested too deeply") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, option", [

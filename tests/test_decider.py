@@ -73,6 +73,9 @@ def test_embed_offers_the_names_a_state_offers_with_the_step():
 def test_embed_rejects_passive_transitions():
     with pytest.raises(NotPerformanceClosed):
         _embed("<a,*1>.0")
+    for left, right, which in (("<a,*1>.0", "<a,1>.0", "left"), ("<a,1>.0", "<a,*1>.0", "right")):
+        with pytest.raises(NotPerformanceClosed, match=f"^{which} process is not"):
+            decide_equiv(parse_term(left), parse_term(right))
 
 
 def test_language_equiv_identical_automata():

@@ -58,6 +58,8 @@ def test_grouped_measures_match_direct_evaluation(seed):
                   for _ in range(rng.randint(0, 2)))
     measures = successful_measures(build_lts(process), test, len(theta))
     assert passing_probability(measures, theta) == prob_pass(process, test, theta)
+    with pytest.raises(ValueError, match="theta longer than the enumerated bound"):
+        passing_probability(measures, theta + (Fraction(1),))
 
 
 def test_old_definition_agrees_without_internal_moves():

@@ -79,6 +79,13 @@ def test_parse_errors():
     (parse_test_body, "<a,*1>.s +\n\t<b,*1>. ", ParseError,
      "expected a term (found 'end of input')", 2, 10),
     (parse_formula, "<a>\ttrue\n)", ParseError, "trailing input (found ')')", 2, 1),
+    (parse_term, "0 0", ParseError, "trailing input (found '0')", 1, 3),
+    # an error about tau points at the name, not at the token after it
+    (parse_term, "<a,1>.0 / {tau}", ParseError, "tau may not appear in a name set", 1, 12),
+    (parse_term, "<a,1>.0 |[tau]| 0", ParseError, "tau may not appear in a name set", 1, 11),
+    (parse_term, "<a,1>.0[tau->a]", ParseError, "relabeling must keep tau fixed", 1, 9),
+    (parse_term, "<a,1>.0[a->tau]", ParseError, "relabeling must keep tau fixed", 1, 12),
+    (parse_formula, "<tau>true", ParseError, "diamond names must be visible", 1, 2),
 ])
 def test_parse_error_positions(parse, source, error, message, line, column):
     # columns count characters from 1, a tab or a carriage return as one

@@ -8,9 +8,10 @@ import pytest
 
 from mpcalc import terms as t
 from mpcalc.axioms import RewriteStep, apply_law
+from mpcalc.cli import main
 from mpcalc.errors import StateBoundExceeded
 from mpcalc.parser import parse_term
-from mpcalc.corpus import deadlock_free_term, random_pairs
+from mpcalc.corpus import deadlock_free_term, random_pairs, random_term
 from mpcalc.semantics import Transition, build_lts, derive_transitions, export_dot, export_json
 
 
@@ -223,3 +224,33 @@ def test_export_dot_labels():
     text = export_dot(build_lts(parse_term("<a,1>.0 + <a,1>.0")))
     assert text.startswith("digraph")
     assert '"a, 1 [x2]"' in text
+
+
+def test_every_rendering_agrees_with_the_transition_view(capsys):
+    rng = Random(23)
+    terms = [random_term(rng, depth=3, max_states=12) for _ in range(30)]
+    terms += [parse_term(source) for source in (
+        "(<a,1>.0 + <a,1>.0) |[a]| <a,*2>.rec X : <b,1/2>.X",
+        "rec X : <a,1>.(<b,2>.X + <b,2>.X) + <tau,3>.0",
+        "<a,*1>.<b,2>.0 + <c,1>.0")]
+    for term in terms:
+        lts = build_lts(term)
+        edges = [(lts.index[tr.source], tr.name, tr.rate, lts.index[tr.target], tr.multiplicity)
+                 for tr in lts.transitions()]
+        assert export_json(lts)["transitions"] == [
+            {"src": i, "name": name,
+             "rate": {"kind": "passive" if rate.passive else "exp",
+                      "num": rate.value.numerator, "den": rate.value.denominator},
+             "tgt": j, "mult": count}
+            for i, name, rate, j, count in edges]
+        marks = [(i, name, rate, f" [x{count}]" if count > 1 else "", j)
+                 for i, name, rate, j, count in edges]
+        assert [line for line in export_dot(lts).splitlines() if " -> " in line] == [
+            f'  n{i} -> n{j} [label="{name}, {rate}{mult}"];' for i, name, rate, mult, j in marks]
+        assert main(["lts", str(term)]) == 0
+        assert capsys.readouterr().out.splitlines() == [f"states: {len(lts.states)}"] + [
+            f"{'*' if lts.index[state] == 0 else ' '} {lts.index[state]}: {state}"
+            for state in lts.states] + [
+            f"  {i} --{name},{rate}{mult}--> {j}" for i, name, rate, mult, j in marks]
+    assert {tr.multiplicity > 1 for term in terms for tr in build_lts(term).transitions()} == {
+        True, False}

@@ -10,6 +10,7 @@ from mpcalc import terms as t
 from mpcalc.corpus import random_term
 from mpcalc.errors import NotWellFormed, ReservedNameError
 from mpcalc.parser import parse_term
+from mpcalc.semantics import derive_transitions
 
 
 def test_rate_must_be_positive():
@@ -53,6 +54,8 @@ def test_wellformedness_flags():
 
     unguarded = t.Rec("X", t.Choice(t.Var("X"), t.NIL))
     assert not t.check_wellformed(unguarded).guarded
+    with pytest.raises(NotWellFormed, match="^unguarded recursion on X$"):
+        derive_transitions(unguarded)
 
     guarded_loop = t.Rec("X", t.Prefix("a", t.Rate(1), t.Var("X")))
     wf = t.check_wellformed(guarded_loop)

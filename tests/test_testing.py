@@ -43,6 +43,8 @@ def test_test_shape_validation():
     parse_test("<tau,3>.<a,*1>.s", flavor="tau")
     with pytest.raises(NotWellFormed):
         parse_test("<tau,3>.s")
+    with pytest.raises(NotWellFormed, match="tau test prefixes must be exponentially timed"):
+        parse_test("<tau,*1>.<a,*1>.s", flavor="tau")
     for source, flavor in (("<a,*1>.0", "reactive"), ("s + s", "reactive"),
                            ("<tau,1>.(s + <a,*1>.s)", "tau"), ("<a,*1>.<tau,2>.s", "tau"),
                            ("<a,*1>.(s + <b,*1>.s)", "reactive"),
