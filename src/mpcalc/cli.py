@@ -380,14 +380,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="seeded random terms or term pairs")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_at_least(0), default=10)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--max-states", type=int, default=8)
+    p.add_argument("--depth", type=_at_least(1), default=3)
+    p.add_argument("--max-states", type=_at_least(1), default=8)
     p.add_argument("--names", default="a,b")
     p.add_argument("--pairs", action="store_true")
     p.add_argument("--tau-free", action="store_true")
     p.add_argument("--check", action="store_true",
                    help="decide every emitted pair")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_at_least(1), default=1,
                    help="parallel worker processes for --check, at most "
                    "the number of CPUs")
     return parser

@@ -9,9 +9,16 @@ Process terms:
     rate ::= number | number "/" number | "*" number | "*" number "/" number
 
 Binding strength, tightest first: prefix, hiding/relabeling, parallel,
-choice.  "+" and "|[...]|" associate to the right; "rec X : ..." extends as
-far right as possible.  Tests share the syntax, with "s" for the success
-state.  Formulas: "true", "<a> phi", "phi \\/ phi", parentheses.
+choice.  One function, _term, reads a term in that order: a run of
+prefixes; one primary ("0", a name, a parenthesized term or a rec); its
+hidings and relabelings; one "|[...]|", whose right operand it reads at
+parallel level; and, at choice level only, one "+", whose right operand
+it reads at choice level.  So "+" and "|[...]|" associate to the right,
+and the body of "rec X : ...", read at choice level, extends as far right
+as possible.  Tests share the syntax, with "s" for the success state.
+Formulas: "true", "<a> phi", "phi \\/ phi", parentheses.
+
+Tokens are ASCII: a digit is 0-9, and only ASCII whitespace separates.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ _TOKENS = re.compile(
     | (?P<end>\Z)
     )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 # A token is (kind, text, offset into the source), kind one of "number",
@@ -104,6 +111,10 @@ class _Stream:
         self.position += 1
         return text
 
+    def finish(self) -> None:
+        if self.tokens[self.position][0] != "end":
+            raise self.error("trailing input")
+
     def number(self) -> Fraction:
         kind, text, _ = self.tokens[self.position]
         if kind != "number":
@@ -142,103 +153,80 @@ def _parse_name_list(stream: _Stream, closing: str) -> frozenset[str]:
     return frozenset(names)
 
 
-class _TermParser:
-    """test_mode admits the success atom "s"."""
-
-    def __init__(self, stream: _Stream, test_mode: bool):
-        self.stream = stream
-        self.test_mode = test_mode
-
-    def parse(self) -> t.ProcessTerm:
-        term = self.choice()
-        if self.stream.current[0] != "end":
-            raise self.stream.error("trailing input")
-        return term
-
-    def choice(self) -> t.ProcessTerm:
-        left = self.parallel()
-        if self.stream.accept("+"):
-            return t.Choice(left, self.choice())
-        return left
-
-    def parallel(self) -> t.ProcessTerm:
-        left = self.postfix()
-        if self.stream.accept("|["):
-            sync = _parse_name_list(self.stream, "]|")
-            return t.Parallel(sync, left, self.parallel())
-        return left
-
-    def postfix(self) -> t.ProcessTerm:
-        term = self.prefixed()
+def _parse_renames(stream: _Stream) -> tuple[tuple[str, str], ...]:
+    targets: dict[str, str] = {}
+    if not stream.check("]"):
         while True:
-            if self.stream.accept("/"):
-                self.stream.expect("{")
-                term = t.Hide(_parse_name_list(self.stream, "}"), term)
-            elif self.stream.accept("["):
-                term = t.Relabel(self._renames(), term)
-            else:
-                return term
+            start = stream.current
+            old = stream.ident()
+            stream.expect("->")
+            end = stream.current
+            new = stream.ident()
+            if t.TAU in (old, new):
+                raise stream.error_at(start if old == t.TAU else end,
+                                      "relabeling must keep tau fixed")
+            if targets.setdefault(old, new) != new:
+                raise stream.error_at(
+                    start, f"{old} is relabeled to both {targets[old]} and {new}")
+            if not stream.accept(","):
+                break
+    stream.expect("]")
+    return tuple(targets.items())
 
-    def _renames(self) -> tuple[tuple[str, str], ...]:
-        targets: dict[str, str] = {}
-        if not self.stream.check("]"):
-            while True:
-                start = self.stream.current
-                old = self.stream.ident()
-                self.stream.expect("->")
-                end = self.stream.current
-                new = self.stream.ident()
-                if t.TAU in (old, new):
-                    raise self.stream.error_at(start if old == t.TAU else end,
-                                               "relabeling must keep tau fixed")
-                if targets.setdefault(old, new) != new:
-                    raise self.stream.error_at(
-                        start, f"{old} is relabeled to both {targets[old]} and {new}")
-                if not self.stream.accept(","):
-                    break
-        self.stream.expect("]")
-        return tuple(targets.items())
 
-    def prefixed(self) -> t.ProcessTerm:
-        stream = self.stream
-        actions = []
-        while stream.accept("<"):
-            name = stream.ident("action name")
-            stream.expect(",")
-            rate = _parse_rate(stream)
-            stream.expect(">")
-            stream.expect(".")
-            actions.append((name, rate))
-        term = self.atom()
-        for name, rate in reversed(actions):
-            term = t.Prefix(name, rate, term)
-        return term
+_CHOICE = 0
+_PARALLEL = 1
 
-    def atom(self) -> t.ProcessTerm:
-        stream = self.stream
-        if stream.accept("0"):
-            return t.NIL
-        if stream.accept("("):
-            term = self.choice()
-            stream.expect(")")
-            return term
-        if stream.accept("rec"):
-            var = stream.ident("recursion variable")
-            stream.expect(":")
-            return t.Rec(var, self.choice())
-        if stream.current[0] == "ident":
-            name = stream.ident()
-            if self.test_mode and name == "s":
-                return t.SUCCESS
-            return t.Var(name)
+
+def _term(stream: _Stream, test_mode: bool, level: int) -> t.ProcessTerm:
+    """Read a term at choice or parallel level.  test_mode admits the
+    success atom "s"."""
+    actions = []
+    while stream.accept("<"):
+        name = stream.ident("action name")
+        stream.expect(",")
+        rate = _parse_rate(stream)
+        stream.expect(">")
+        stream.expect(".")
+        actions.append((name, rate))
+    if stream.accept("0"):
+        term = t.NIL
+    elif stream.accept("("):
+        term = _term(stream, test_mode, _CHOICE)
+        stream.expect(")")
+    elif stream.accept("rec"):
+        var = stream.ident("recursion variable")
+        stream.expect(":")
+        term = t.Rec(var, _term(stream, test_mode, _CHOICE))
+    elif stream.current[0] == "ident":
+        name = stream.ident()
+        term = t.SUCCESS if test_mode and name == "s" else t.Var(name)
+    else:
         raise stream.error("expected a term")
+    for name, rate in reversed(actions):
+        term = t.Prefix(name, rate, term)
+    while True:
+        if stream.accept("/"):
+            stream.expect("{")
+            term = t.Hide(_parse_name_list(stream, "}"), term)
+        elif stream.accept("["):
+            term = t.Relabel(_parse_renames(stream), term)
+        else:
+            break
+    if stream.accept("|["):
+        sync = _parse_name_list(stream, "]|")
+        term = t.Parallel(sync, term, _term(stream, test_mode, _PARALLEL))
+    if level == _CHOICE and stream.accept("+"):
+        term = t.Choice(term, _term(stream, test_mode, _CHOICE))
+    return term
 
 
 def parse_term(source: str) -> t.ProcessTerm:
     """Parse a process term.  Recursion binders are renamed to canonical
     depth-indexed names so alpha-equivalent terms parse identically."""
     stream = _Stream(source)
-    term = _TermParser(stream, test_mode=False).parse()
+    term = _term(stream, False, _CHOICE)
+    stream.finish()
     # Only an identifier can spell the reserved name, and only the
     # keyword rec makes a binder: the term is walked only when needed.
     idents = {text for kind, text, _ in stream.tokens if kind == "ident"}
@@ -252,7 +240,10 @@ def parse_term(source: str) -> t.ProcessTerm:
 def parse_test_body(source: str) -> t.ProcessTerm:
     """Parse test syntax into a raw term; grammar-level validation happens
     in the testing module, which knows the test flavor."""
-    return _TermParser(_Stream(source), test_mode=True).parse()
+    stream = _Stream(source)
+    term = _term(stream, True, _CHOICE)
+    stream.finish()
+    return term
 
 
 # Formula syntax; the node classes live in mlogic.
@@ -285,6 +276,5 @@ def parse_formula(source: str):
         raise stream.error("expected a formula")
 
     formula = or_formula()
-    if stream.current[0] != "end":
-        raise stream.error("trailing input")
+    stream.finish()
     return formula

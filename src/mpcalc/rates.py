@@ -30,15 +30,16 @@ def _accepts(destination: Destination, target: t.ProcessTerm) -> bool:
 
 def rate_e(term: t.ProcessTerm, name: str, level: int, destination: Destination) -> Fraction:
     """Cumulative rate (level 0) or weight (level -1) of name-transitions
-    from term into the destination set."""
+    from a closed term into the destination set.  The term is
+    alpha-normalized once, so its targets are too."""
     if level not in (EXPONENTIAL, PASSIVE):
         raise ValueError(f"level must be 0 or -1, got {level}")
     passive = level == PASSIVE
     total = Fraction(0)
-    for (a, rate, target), count in derive_transitions(term):
+    for (a, rate, target), count in derive_transitions(t.alpha_normalize(term)):
         if a != name or rate.passive != passive:
             continue
-        if _accepts(destination, t.alpha_normalize(target)):
+        if _accepts(destination, target):
             total += rate.value * count
     return total
 

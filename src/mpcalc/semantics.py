@@ -24,14 +24,16 @@ from __future__ import annotations
 import dataclasses as d
 from collections import Counter
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from . import terms as t
 from .errors import NotWellFormed, StateBoundExceeded
 
-# A transition entry as produced by derive_transitions: the target is a raw
-# (not alpha-normalized) term.
+# A transition entry as produced by derive_transitions.  Each target of an
+# alpha-normal closed term is alpha-normal: the rec rule normalizes its
+# unfolding, and every other rule puts closed, alpha-normal parts side by
+# side at binder depth 0.
 Entry = tuple[str, t.Rate, t.ProcessTerm]
 # A row of an LMTS move table: action name, aggregate rate (rate times
 # multiplicity) and target state index.
@@ -44,7 +46,8 @@ Row = tuple[str, t.Rate, int, int]
 @lru_cache(maxsize=None)
 def derive_transitions(term: t.ProcessTerm) -> tuple[tuple[Entry, int], ...]:
     """Transition multiset of a closed term, as ((name, rate, target), count)
-    pairs in deterministic derivation order."""
+    pairs in deterministic derivation order.  A rec binder's unfolding is
+    alpha-normalized once, when it is derived, and cached with the rest."""
     return tuple(_derive(term).items())
 
 
@@ -74,7 +77,7 @@ def _derive(term: t.ProcessTerm) -> Counter[Entry]:
     if isinstance(term, t.Rec):
         if not t.check_wellformed(term).guarded:
             raise NotWellFormed(f"unguarded recursion on {term.var}")
-        unfolded = t.substitute(term.body, term.var, term)
+        unfolded = t.alpha_normalize(t.substitute(term.body, term.var, term))
         out.update(dict(derive_transitions(unfolded)))
         return out
     raise TypeError(f"not a process term: {term!r}")
@@ -156,16 +159,12 @@ class LMTS:
     rows: list[tuple[Row, ...]]
 
     @cached_property
-    def _outgoing(self) -> list[list[Transition]]:
+    def outgoing(self) -> list[list[Transition]]:
+        """Per state index, its transitions in derivation order."""
         states = self.states
         return [[Transition(states[i], name, rate, states[j], count)
                  for name, rate, j, count in group]
                 for i, group in enumerate(self.rows)]
-
-    @property
-    def outgoing(self) -> list[list[Transition]]:
-        """Per state index, its transitions in derivation order."""
-        return self._outgoing
 
     def transitions(self):
         for group in self.outgoing:
@@ -195,18 +194,17 @@ def build_lts(
     term: t.ProcessTerm, state_bound: int = 10000, *, allow_failure_name: bool = False
 ) -> LMTS:
     """Breadth-first state-space construction: state 0 is the root, and
-    the states follow in the order they are found.  A root with a rec
-    binder has its states alpha-normalized, each distinct term once per
-    build.
+    the states follow in the order they are found.  Only a root with a
+    rec binder is alpha-normalized: derivation keeps every target of an
+    alpha-normal closed term alpha-normal (see Entry), so no other state
+    needs it.
 
     Raises StateBoundExceeded when more than state_bound states are reached,
     which signals likely divergence such as rec X : <a,1>.(X |[]| X).
     """
-    # Derivation unfolds only the binders a term holds, so every state of
-    # a binder-free root is binder-free and already alpha-normal.
+    # a binder-free term is already alpha-normal
     binder = t.require_analyzable(term, allow_failure_name=allow_failure_name)
-    normal = cache(t.alpha_normalize)  # for this build only
-    root = normal(term) if binder else term
+    root = t.alpha_normalize(term) if binder else term
     states = [root]
     index = {root: 0}
     rows: list[tuple[Row, ...]] = []
@@ -214,8 +212,6 @@ def build_lts(
     for state in states:
         group: list[Row] = []
         for (name, rate, target), count in derive_transitions(state):
-            if binder:
-                target = normal(target)
             j = index.get(target)
             if j is None:
                 if len(states) >= state_bound:

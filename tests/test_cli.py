@@ -342,6 +342,12 @@ def test_deep_terms_exit_two_without_traceback(capsys):
     (("lts", "<a,1>.0", "--state-bound", "0"), "--state-bound"),
     (("corpus", "--count", "-1"), "--count"),
     (("corpus", "--count", "two"), "--count"),
+    (("corpus", "--jobs", "0"), "--jobs"),
+    (("corpus", "--pairs", "--check", "--jobs", "-3"), "--jobs"),
+    (("corpus", "--depth", "0"), "--depth"),
+    (("corpus", "--depth", "-1"), "--depth"),
+    (("corpus", "--max-states", "0"), "--max-states"),
+    (("corpus", "--max-states", "-5"), "--max-states"),
 ])
 def test_out_of_range_counts_are_usage_errors(capsys, argv, option):
     with pytest.raises(SystemExit) as info:

@@ -30,6 +30,22 @@ def test_precedence_choice_weakest():
     assert isinstance(term.right, t.Parallel)
 
 
+# Each row reads source as the explicitly parenthesized reading beside it.
+@pytest.mark.parametrize("source, reading", [
+    ("<a,1>.rec X : <b,1>.X + <c,1>.0", "<a,1>.(rec X : (<b,1>.X + <c,1>.0))"),
+    ("<c,1>.0 + rec X : <b,1>.X + <c,1>.X", "<c,1>.0 + (rec X : (<b,1>.X + <c,1>.X))"),
+    ("<c,1>.0 |[]| rec X : <b,1>.X + <c,1>.0", "<c,1>.0 |[]| (rec X : (<b,1>.X + <c,1>.0))"),
+    ("rec X : <a,1>.X / {a}", "rec X : ((<a,1>.X) / {a})"),
+    ("rec X : <a,1>.X[a->b] |[b]| <b,*1>.0", "rec X : (((<a,1>.X)[a->b]) |[b]| <b,*1>.0)"),
+    ("<a,1>.0 / {a} |[]| <b,1>.0", "((<a,1>.0) / {a}) |[]| <b,1>.0"),
+    ("<a,1>.0 |[]| <b,1>.0 |[a]| <a,*1>.0", "<a,1>.0 |[]| (<b,1>.0 |[a]| <a,*1>.0)"),
+    ("<a,1>.0 + <b,1>.0 + <c,1>.0", "<a,1>.0 + (<b,1>.0 + <c,1>.0)"),
+    pytest.param("(" * 500 + "<a,1>.0" + ")" * 500, "<a,1>.0", id="500 parentheses"),
+])
+def test_binding_strength(source, reading):
+    assert parse_term(source) == parse_term(reading)
+
+
 def test_static_operators():
     term = parse_term("(<a,1>.0 / {a})[b->c]")
     assert isinstance(term, t.Relabel)
@@ -86,6 +102,9 @@ def test_parse_errors():
     (parse_term, "<a,1>.0[tau->a]", ParseError, "relabeling must keep tau fixed", 1, 9),
     (parse_term, "<a,1>.0[a->tau]", ParseError, "relabeling must keep tau fixed", 1, 12),
     (parse_formula, "<tau>true", ParseError, "diamond names must be visible", 1, 2),
+    # digits and whitespace are ASCII only
+    (parse_term, "<a,\u0661>.0", ParseError, "unexpected character '\u0661'", 1, 4),
+    (parse_term, "<a,1>.0\xa0+ 0", ParseError, "unexpected character '\\xa0'", 1, 8),
 ])
 def test_parse_error_positions(parse, source, error, message, line, column):
     # columns count characters from 1, a tab or a carriage return as one

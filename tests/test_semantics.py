@@ -173,6 +173,14 @@ def _binder_sample():
     loop = t.Rec("Y", t.Prefix("b", t.Rate(Fraction(1, 2)), t.Var("Y")))
     twice = t.Choice(t.Prefix("a", t.Rate(1), t.NIL), t.Prefix("a", t.Rate(1), t.NIL))
     terms.append(t.Parallel(frozenset("a"), twice, t.Prefix("a", t.Rate.weight(2), loop)))
+    # nested and shadowed binders under hiding, relabeling and parallel
+    x, y = t.Var("X"), t.Var("Y")
+    shadowed = t.Rec("X", t.Prefix("a", t.Rate(1), t.Rec("X", t.Prefix("b", t.Rate(1), x))))
+    nested = t.Rec("X", t.Prefix("a", t.Rate(1), t.Rec("Y", t.Choice(
+        t.Prefix("b", t.Rate(2), x), t.Prefix("c", t.Rate(3), y)))))
+    terms += [shadowed, t.Hide(frozenset("a"), nested), t.Relabel((("b", "c"),), shadowed),
+              t.Parallel(frozenset("b"), nested, t.Hide(frozenset("c"), shadowed)),
+              t.Rec("Y", t.Prefix("d", t.Rate(1), t.Parallel(frozenset(), nested, shadowed)))]
     return terms
 
 
@@ -184,6 +192,10 @@ def test_build_lts_matches_a_build_that_normalizes_every_state():
         assert lts.states == states and lts.index == index
         assert lts.moves == moves and lts.outgoing == outgoing
         assert list(lts.transitions()) == [tr for group in outgoing for tr in group]
+        # each target of an alpha-normal closed term is alpha-normal
+        for state in lts.states:
+            for (_, _, target), _ in derive_transitions(state):
+                assert t.alpha_normalize(target) is target
         kinds.add(any(isinstance(node, t.Rec) for node in t.subterms(term)))
     assert kinds == {True, False}
 
@@ -194,11 +206,23 @@ def test_build_lts_of_a_binder_free_root_normalizes_nothing(monkeypatch):
     monkeypatch.setattr(t, "alpha_normalize", lambda term: calls.append(term) or normalize(term))
     lts = build_lts(parse_term("(<a,7/5>.<b,1>.0 + <c,2>.0) |[b]| <b,*3>.<d,5/3>.0"))
     assert len(lts.states) == 5 and calls == []
-    # a binder is renamed on every state that holds one
-    lts = build_lts(t.Rec("W", t.Prefix("e", t.Rate(Fraction(9, 7)), t.Prefix(
-        "f", t.Rate(1), t.Var("W")))))
-    assert len(lts.states) == 2 and len(calls) == 3
+    # a root with a binder is normalized on every build, and each unfolding
+    # once, when derive_transitions first derives its binder
+    derive_transitions.cache_clear()
+    root = t.Rec("W", t.Prefix("e", t.Rate(Fraction(9, 7)), t.Prefix(
+        "f", t.Rate(1), t.Var("W"))))
+    for count in (2, 1):
+        calls.clear()
+        lts = build_lts(root)
+        assert len(lts.states) == 2 and len(calls) == count
     assert str(lts.root) == "rec X1 : <e,9/7>.<f,1>.X1"
+    x = t.Var("X")
+    growing = t.Rec("X", t.Prefix("a", t.Rate(1), t.Parallel(frozenset(), x, x)))
+    for count in (2, 1):
+        calls.clear()
+        with pytest.raises(StateBoundExceeded):
+            build_lts(growing)
+        assert len(calls) == count
 
 
 def test_performance_closed_detection():
